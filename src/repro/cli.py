@@ -579,9 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST + import-graph analysis proving the determinism "
             "contract: wall-clock/randomness/ordering/canonical-JSON "
-            "rules, layering (layers.toml), fingerprint closures, "
-            "trace-name catalog.  Exit 0 clean, 1 findings, 2 usage "
-            "error."
+            "rules, layering (layers.toml), trace-name catalog.  "
+            "Exit 0 clean, 1 findings, 2 usage error."
         ),
     )
     lint.add_argument(
@@ -677,30 +676,49 @@ def _trace_dir(args: argparse.Namespace) -> str:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.no_te_cache:
-        # cover code paths that consult the environment rather than an
-        # ExecutionContext (default-constructed controllers, pool workers)
-        from repro.te.incremental import NO_TE_CACHE_ENV
+    if not args.no_te_cache:
+        return _run(args)
+    # cover code paths that consult the environment rather than an
+    # ExecutionContext (default-constructed controllers, pool workers),
+    # for this run only
+    from repro.te.incremental import NO_TE_CACHE_ENV
 
-        os.environ[NO_TE_CACHE_ENV] = "1"
+    previous = os.environ.get(NO_TE_CACHE_ENV)
+    os.environ[NO_TE_CACHE_ENV] = "1"
+    try:
+        return _run(args)
+    finally:
+        if previous is None:
+            del os.environ[NO_TE_CACHE_ENV]
+        else:
+            os.environ[NO_TE_CACHE_ENV] = previous
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the handler; trace and bench reports cover this run only."""
+    from repro.obs import metrics
+
     trace_dir = _trace_dir(args)
-    if trace_dir:
-        from repro import obs
+    with metrics.isolated() as registry:
+        if trace_dir:
+            from repro import obs
 
-        tracer = obs.Tracer()
-        with obs.tracing(tracer):
+            tracer = obs.Tracer()
+            with obs.tracing(tracer):
+                status = args.handler(args)
+        else:
             status = args.handler(args)
-        registry = obs.metrics.current()
+    if trace_dir:
         paths = obs.export_run(trace_dir, tracer, registry)
         print(obs.run_summary(tracer, registry), file=sys.stderr)
         for path in sorted(paths.values()):
             print(f"wrote {path}", file=sys.stderr)
-    else:
-        status = args.handler(args)
     if args.bench_json:
         from repro import perf
 
-        path = perf.write_bench(args.bench_json, extra={"command": args.command})
+        path = perf.PerfRegistry(registry).write_bench(
+            args.bench_json, extra={"command": args.command}
+        )
         print(f"wrote {path}")
     return status
 

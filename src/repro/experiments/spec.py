@@ -11,8 +11,7 @@ Both are frozen, hashable, and serialisable to/from plain dicts, JSON
 and TOML, so a sweep can live in a checked-in file and its expansion is
 reproducible byte-for-byte.  Content addressing (spec hash + code
 fingerprint) lives in :func:`repro.experiments.registry.spec_key`,
-because the code fingerprint depends on which experiment the spec
-names.
+because resolving a spec's parameters needs the experiment's defaults.
 
 Spec files look like::
 

@@ -11,7 +11,7 @@ One sweep run owns one directory::
                             metrics.prom — see :mod:`repro.obs.export`)
 
 Artifacts are keyed by :func:`repro.experiments.registry.spec_key` —
-resolved parameters plus the experiment's code fingerprint — so a run
+resolved parameters plus the package code fingerprint — so a run
 directory can be resumed after a kill: points whose artifact already
 exists (and still matches the current code) are skipped, and points
 invalidated by a code edit are transparently re-run under a new key.

@@ -4,12 +4,12 @@ Built purely from the AST — every ``import``/``from ... import`` in a
 module, including the lazy function-body imports the codebase uses to
 keep startup cheap, becomes an edge.  The graph powers both the
 layering rules (L001-L003 check the transitive closure, generalizing
-PR 7's runtime ``sys.modules`` probe) and F001's fingerprint-closure
-validation.
+a runtime ``sys.modules`` probe) and the test that every closure an
+experiment can reach is inside the code fingerprint.
 
 Only edges *inside* the linted package (``repro.*``) are recorded:
 stdlib and third-party imports are irrelevant to layering and are
-already outside the fingerprint contract.
+outside the code fingerprint.
 """
 
 from __future__ import annotations

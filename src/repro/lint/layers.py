@@ -10,8 +10,8 @@ fires on an error path still violates the boundary.
 
 The contract file is TOML; on Python < 3.11 (no :mod:`tomllib`) a
 restricted built-in parser covers the subset the contract uses (string
-scalars, string arrays, ``[[rules]]`` array-of-tables, ``[fingerprint]``
-table) so the 3.10 CI lane lints identically.
+scalars, string arrays, ``[[rules]]`` array-of-tables) so the 3.10 CI
+lane lints identically.
 """
 
 from __future__ import annotations
@@ -37,15 +37,14 @@ class LayerRule:
 @dataclass(frozen=True)
 class LayerContract:
     rules: tuple[LayerRule, ...]
-    fingerprint_exempt: tuple[str, ...]
 
 
 def _parse_toml_minimal(text: str) -> dict[str, Any]:
     """Parse the restricted TOML subset ``layers.toml`` uses.
 
     Supports comments, ``key = "string"``, ``key = <int>``,
-    ``key = ["a", "b"]`` (single line), ``[table]`` and ``[[array]]``
-    headers — exactly what the contract needs, nothing more.
+    ``key = ["a", "b"]`` (single line) and ``[[array]]`` headers —
+    exactly what the contract needs, nothing more.
     """
     root: dict[str, Any] = {}
     current: dict[str, Any] = root
@@ -57,9 +56,6 @@ def _parse_toml_minimal(text: str) -> dict[str, Any]:
             name = line[2:-2].strip()
             current = {}
             root.setdefault(name, []).append(current)
-        elif line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            current = root.setdefault(name, {})
         else:
             key, _, value = line.partition("=")
             current[key.strip()] = _parse_value(value.strip())
@@ -96,8 +92,7 @@ def load_contract(path: Path | None = None) -> LayerContract:
         )
         for entry in payload.get("rules", [])
     )
-    exempt = tuple(payload.get("fingerprint", {}).get("exempt", []))
-    return LayerContract(rules=rules, fingerprint_exempt=exempt)
+    return LayerContract(rules=rules)
 
 
 def _under(module: str, prefixes: tuple[str, ...]) -> bool:

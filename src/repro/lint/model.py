@@ -165,21 +165,6 @@ _rule(
     "repro/lint/layers.toml.",
 )
 _rule(
-    "F001",
-    "artifact-fingerprint module list misses a reachable module",
-    "Experiment artifact keys hash the source bytes of a declared "
-    "module list; a module that the experiment can reach but does not "
-    "declare can change behaviour without invalidating stored "
-    "artifacts — the exact drift that forced manual _STATE_MODULES/"
-    "_RECOVERY_MODULES updates in PRs 7-8.  The declared list must "
-    "cover the static import closure of the experiment's roots "
-    "(modulo the exempt, proven-inert modules in layers.toml).",
-    "Add the missing modules to the experiment's modules= tuple in "
-    "repro/experiments/registry.py (group shared runs into _*_MODULES "
-    "constants), or — if genuinely result-inert — add them to "
-    "[fingerprint].exempt in repro/lint/layers.toml with a comment.",
-)
-_rule(
     "T001",
     "trace/metric name off-catalog or not dotted lowercase",
     "Span, point-event, metric, perf-timer and engine-event names are "

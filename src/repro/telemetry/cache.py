@@ -8,7 +8,11 @@ and the synthesis code itself, the reduction to
 :class:`~repro.telemetry.stats.LinkSummary` records can be cached
 content-addressed: the key is a stable hash over all three, so any
 change to a knob *or to the generator code* transparently invalidates
-old entries — there is no way to read a stale result.
+old entries — there is no way to read a stale result.  The code part is
+:func:`repro.fingerprint.code_fingerprint`, derived from the package
+tree rather than a module list, so every module synthesis can reach is
+covered (at the price of the key also moving on edits elsewhere in the
+package).
 
 Layout: one JSON document per key under the cache root,
 ``<root>/summaries-<key>.json`` (the format of
@@ -27,7 +31,7 @@ import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from repro.fingerprint import fingerprint_modules
+from repro.fingerprint import code_fingerprint
 from repro.optics.modulation import ModulationTable
 from repro.telemetry.io import load_summaries, save_summaries
 from repro.telemetry.stats import LinkSummary
@@ -42,20 +46,6 @@ NO_CACHE_ENV = "REPRO_NO_CACHE"
 
 _SCHEMA = 1
 _PREFIX = "summaries-"
-
-#: Modules whose source determines the synthesis output byte-for-byte.
-SYNTHESIS_MODULES = (
-    "repro.optics.fiber",
-    "repro.optics.impairments",
-    "repro.optics.modulation",
-    "repro.seeds",
-    "repro.telemetry.dataset",
-    "repro.telemetry.events",
-    "repro.telemetry.hdr",
-    "repro.telemetry.stats",
-    "repro.telemetry.timebase",
-    "repro.telemetry.traces",
-)
 
 
 def cache_enabled(override: bool | None = None) -> bool:
@@ -75,16 +65,6 @@ def cache_dir() -> Path:
     if env:
         return Path(env).expanduser()
     return Path("~/.cache/repro").expanduser()
-
-
-def code_fingerprint() -> str:
-    """Hash of the source files that determine synthesis output.
-
-    Editing any module in the synthesis chain (trace generation, event
-    processes, summary statistics, the optical budget, or the modulation
-    ladder) changes this digest and therefore every cache key.
-    """
-    return fingerprint_modules(SYNTHESIS_MODULES)
 
 
 def _table_signature(table: ModulationTable) -> list[list[float | str]]:

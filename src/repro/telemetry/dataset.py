@@ -294,7 +294,7 @@ class BackboneDataset:
                 bit-identical regardless of the worker count.
             cache: force the on-disk summary cache on/off; ``None``
                 defers to ``REPRO_NO_CACHE`` (default on).  Keys include
-                the config, the table and a synthesis-code fingerprint,
+                the config, the table and the package code fingerprint,
                 so stale reads are impossible.
         """
         cfg = self.config

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import registry as registry_mod
+from repro import fingerprint
 from repro.experiments.registry import (
     ExecutionContext,
     experiment_names,
@@ -61,7 +61,7 @@ class TestSpecKey:
         spec = ScenarioSpec.create("s", "theorem")
         before = spec_key(spec)
         monkeypatch.setattr(
-            registry_mod, "fingerprint_modules", lambda modules: "different"
+            fingerprint, "fingerprint_tree", lambda *args: "different"
         )
         assert spec_key(spec) != before
 
@@ -119,36 +119,3 @@ class TestRunSpec:
         spec = ScenarioSpec.create("s", "reactive", days=0.5)
         payload = json.dumps(run_spec(spec))
         assert json.loads(payload)["mode"] == "reactive"
-
-
-class TestFingerprintCompleteness:
-    """Satellite of lint rule F001: the registry's module lists are closed."""
-
-    def test_every_declared_module_resolves(self):
-        for name in experiment_names():
-            experiment = get_experiment(name)
-            # fingerprint_modules raises on any module it cannot load
-            assert registry_mod.fingerprint_modules(experiment.modules)
-
-    def test_registry_is_f001_clean(self):
-        from pathlib import Path
-
-        from repro.lint.fingerprints import check_fingerprints
-        from repro.lint.imports import build_import_graph
-        from repro.lint.layers import load_contract
-
-        src_repro = Path(registry_mod.__file__).resolve().parents[1]
-        graph = build_import_graph(src_repro)
-        findings = check_fingerprints(
-            graph,
-            Path(registry_mod.__file__),
-            "src/repro/experiments/registry.py",
-            load_contract().fingerprint_exempt,
-        )
-        assert [f.message for f in findings] == []
-
-    def test_all_experiments_share_one_closed_set(self):
-        sets = {get_experiment(n).modules for n in experiment_names()}
-        assert len(sets) == 1
-        (modules,) = sets
-        assert len(modules) == len(set(modules))  # no duplicates

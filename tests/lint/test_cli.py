@@ -59,7 +59,7 @@ class TestExitCodes:
 
 
 class TestExplain:
-    @pytest.mark.parametrize("code", ["D001", "d003", "F001", "T001", "B001"])
+    @pytest.mark.parametrize("code", ["D001", "d003", "T001", "B001"])
     def test_known_codes(self, code, capsys):
         assert main(["--explain", code]) == 0
         out = capsys.readouterr().out

@@ -32,7 +32,6 @@ CONTRACT = LayerContract(
             forbid=("pkg.sim",),
         ),
     ),
-    fingerprint_exempt=(),
 )
 
 
@@ -95,7 +94,6 @@ class TestContractFile:
         contract = load_contract()
         codes = {rule.code for rule in contract.rules}
         assert codes == {"L001", "L002", "L003"}
-        assert "repro.obs" in contract.fingerprint_exempt
 
     def test_minimal_parser_agrees_with_tomllib(self):
         tomllib = pytest.importorskip("tomllib")  # absent on Python 3.10
@@ -111,8 +109,4 @@ class TestContractFile:
         contract = load_contract()
         assert tuple(r["code"] for r in payload["rules"]) == tuple(
             r.code for r in contract.rules
-        )
-        assert (
-            tuple(payload["fingerprint"]["exempt"])
-            == contract.fingerprint_exempt
         )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import fingerprint
 from repro.optics.modulation import DEFAULT_MODULATIONS, ModulationTable
 from repro.telemetry import cache
 from repro.telemetry.dataset import BackboneConfig, BackboneDataset
@@ -57,7 +58,7 @@ class TestKeys:
 
     def test_key_includes_code_fingerprint(self, tiny_config, monkeypatch):
         before = cache.dataset_key(tiny_config, DEFAULT_MODULATIONS)
-        monkeypatch.setattr(cache, "code_fingerprint", lambda: "different")
+        monkeypatch.setattr(fingerprint, "fingerprint_tree", lambda *args: "different")
         assert cache.dataset_key(tiny_config, DEFAULT_MODULATIONS) != before
 
 
