@@ -1,22 +1,25 @@
 """Micro-benchmark for the performance layer: synthesis + LP hot paths.
 
 Times four synthesis variants (cold vs. warm-cached, serial vs.
-parallel) and the two-phase Theorem-1 LP, then writes the aggregate
-timer report to ``BENCH.json`` (override the location with
-``REPRO_BENCH_JSON``) so the perf trajectory is tracked PR-over-PR.
+parallel) and the two-phase Theorem-1 LP with :func:`repro.obs.metrics.timer`,
+then writes the aggregate report (:func:`repro.obs.export.bench_report`)
+to ``BENCH.json`` (override the location with ``REPRO_BENCH_JSON``) so
+the perf trajectory is tracked PR-over-PR.
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_perf_synthesis.py -q -s
 """
 
+import json
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro import perf
 from repro.net.demands import gravity_demands
 from repro.net.topologies import abilene
+from repro.obs import metrics
+from repro.obs.export import bench_report
 from repro.te.lp import MultiCommodityLp
 from repro.telemetry import cache as summary_cache
 from repro.telemetry.dataset import BackboneConfig, BackboneDataset
@@ -36,26 +39,27 @@ def _bench_config() -> BackboneConfig:
 def test_perf_synthesis_and_lp(tmp_path, monkeypatch):
     monkeypatch.setenv(summary_cache.CACHE_DIR_ENV, str(tmp_path / "cache"))
     monkeypatch.delenv(summary_cache.NO_CACHE_ENV, raising=False)
-    perf.reset()
+    reg = metrics.current()
+    reg.reset()
 
     dataset = BackboneDataset(_bench_config())
     n_links = dataset.n_links()
 
     # cold: cache miss -> full synthesis + store
-    with perf.timer("bench.synthesis.cold", n_links=n_links):
+    with metrics.timer("bench.synthesis.cold", n_links=n_links):
         cold = dataset.summaries()
     # warm: pure cache hit
-    with perf.timer("bench.synthesis.warm", n_links=n_links):
+    with metrics.timer("bench.synthesis.warm", n_links=n_links):
         warm = dataset.summaries()
     assert warm == cold
-    assert perf.event_count("synthesis.cache_hit") == 1
+    assert reg.counter_value("synthesis.cache_hit") == 1
     # the warm run must not have re-entered the synthesis path
-    assert perf.timer_stat("synthesis.summaries").count == 1
+    assert reg.get_summary("synthesis.summaries").count == 1
 
-    with perf.timer("bench.synthesis.serial", n_links=n_links):
+    with metrics.timer("bench.synthesis.serial", n_links=n_links):
         serial = dataset.summaries(cache=False, workers=1)
     workers = max(os.cpu_count() or 1, 2)
-    with perf.timer("bench.synthesis.parallel", workers=workers):
+    with metrics.timer("bench.synthesis.parallel", workers=workers):
         parallel = dataset.summaries(cache=False, workers=workers)
     assert parallel == serial == cold
 
@@ -63,7 +67,7 @@ def test_perf_synthesis_and_lp(tmp_path, monkeypatch):
     topo = abilene()
     demands = gravity_demands(topo, 5000.0, np.random.default_rng(0))
     lp = MultiCommodityLp(topo, demands)
-    with perf.timer(
+    with metrics.timer(
         "bench.lp.min_penalty_at_max_throughput",
         n_demands=lp.n_demands,
         n_links=lp.n_links,
@@ -71,11 +75,11 @@ def test_perf_synthesis_and_lp(tmp_path, monkeypatch):
         outcome = lp.min_penalty_at_max_throughput()
     assert outcome.solution.is_valid()
     # memoization: one conservation + one capacity assembly across both phases
-    assert perf.timer_stat("lp.assemble.conservation").count == 1
-    assert perf.timer_stat("lp.assemble.capacity").count == 1
+    assert reg.get_summary("lp.assemble.conservation").count == 1
+    assert reg.get_summary("lp.assemble.capacity").count == 1
 
-    path = perf.write_bench(
-        BENCH_JSON,
+    report = bench_report(
+        reg,
         extra={
             "workload": {
                 "n_cables": dataset.config.n_cables,
@@ -87,8 +91,8 @@ def test_perf_synthesis_and_lp(tmp_path, monkeypatch):
             }
         },
     )
-    report = perf.collect()
-    print(f"\nwrote {path}")
+    BENCH_JSON.write_text(json.dumps(report, indent=2) + "\n")
+    print(f"\nwrote {BENCH_JSON}")
     for name, stat in report["timers"].items():
         if name.startswith("bench."):
             print(f"  {name}: {stat['total_s']:.3f} s")

@@ -11,24 +11,28 @@ Times three per-round solve regimes on a mid-size WAN:
   pure memo hits replaying the stored solution vector.
 
 Then replays a stable-SNR controller scenario to measure the realistic
-memo hit rate, and checks a cache-on vs. cache-off replay agree exactly.
-The aggregate timer report lands in ``BENCH.json`` (override with
-``REPRO_BENCH_JSON``) alongside the synthesis bench's timers when both
-files run in one pytest invocation.
+memo hit rate (a ``bench.te.replay.hit_rate`` gauge), and checks a
+cache-on vs. cache-off replay agree exactly.  The aggregate report
+(:func:`repro.obs.export.bench_report` of the current metrics registry)
+lands in ``BENCH.json`` (override with ``REPRO_BENCH_JSON``) alongside
+the synthesis bench's timers when both files run in one pytest
+invocation.
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_te_rounds.py -q -s
 """
 
+import json
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro import perf
 from repro.core.controller import DynamicCapacityController
 from repro.net.demands import gravity_demands
 from repro.net.topologies import abilene, line_topology
+from repro.obs import metrics
+from repro.obs.export import bench_report
 from repro.seeds import component_rng
 from repro.sim.replay import replay_controller
 from repro.te.incremental import TeSolveCache
@@ -61,21 +65,22 @@ def _round_topologies():
 def test_te_round_regimes():
     rounds = _round_topologies()
     demands = gravity_demands(rounds[0], 5000.0, np.random.default_rng(0))
+    reg = metrics.current()
 
     # cold: assemble + solve from scratch every round
     cold = []
     for topo in rounds:
-        with perf.timer("bench.te.round_cold"):
+        with metrics.timer("bench.te.round_cold"):
             cold.append(getattr(MultiCommodityLp(topo, demands), METHOD)())
 
     # warm: structure reuse, memo miss (capacities differ every round)
     cache = TeSolveCache()
-    hits0 = perf.event_count("te.cache.structure_hit")
+    hits0 = reg.counter_value("te.cache.structure_hit")
     warm = []
     for topo in rounds:
-        with perf.timer("bench.te.round_warm"):
+        with metrics.timer("bench.te.round_warm"):
             warm.append(cache.solve(topo, demands, method=METHOD))
-    assert perf.event_count("te.cache.structure_hit") - hits0 == N_ROUNDS - 1
+    assert reg.counter_value("te.cache.structure_hit") - hits0 == N_ROUNDS - 1
 
     # the cached solves must match the cold ones exactly
     for a, b in zip(cold, warm):
@@ -83,19 +88,19 @@ def test_te_round_regimes():
         assert a.solution.assignments == b.solution.assignments
 
     # memo: the same state round after round -> replay, no solve
-    memo_hits0 = perf.event_count("te.cache.memo_hit")
+    memo_hits0 = reg.counter_value("te.cache.memo_hit")
     memo = []
     for _ in range(N_ROUNDS):
-        with perf.timer("bench.te.round_memo"):
+        with metrics.timer("bench.te.round_memo"):
             memo.append(cache.solve(rounds[0], demands, method=METHOD))
-    assert perf.event_count("te.cache.memo_hit") - memo_hits0 == N_ROUNDS
+    assert reg.counter_value("te.cache.memo_hit") - memo_hits0 == N_ROUNDS
     for outcome in memo:
         assert outcome.objective_value == cold[0].objective_value
         assert outcome.solution.assignments == cold[0].solution.assignments
 
-    cold_mean = perf.timer_stat("bench.te.round_cold").mean_s
-    warm_mean = perf.timer_stat("bench.te.round_warm").mean_s
-    memo_mean = perf.timer_stat("bench.te.round_memo").mean_s
+    cold_mean = reg.get_summary("bench.te.round_cold").mean_s
+    warm_mean = reg.get_summary("bench.te.round_warm").mean_s
+    memo_mean = reg.get_summary("bench.te.round_memo").mean_s
     print(
         f"\n  cold {1e3 * cold_mean:.2f} ms  warm {1e3 * warm_mean:.2f} ms  "
         f"memo {1e3 * memo_mean:.3f} ms  "
@@ -128,11 +133,11 @@ def _stable_replay(te_cache: bool):
 
 
 def test_te_replay_hit_rate_and_equivalence():
-    with perf.isolated() as reg:
+    with metrics.isolated() as reg:
         cached = _stable_replay(te_cache=True)
-        hits = reg.event_count("te.cache.memo_hit")
-        misses = reg.event_count("te.cache.memo_miss")
-        rate = reg.hit_rate("te.cache.memo_hit", "te.cache.memo_miss")
+    hits = int(reg.counter_value("te.cache.memo_hit"))
+    misses = int(reg.counter_value("te.cache.memo_miss"))
+    rate = hits / (hits + misses) if hits + misses else 0.0
     uncached = _stable_replay(te_cache=False)
 
     # byte-identical series either way
@@ -149,17 +154,17 @@ def test_te_replay_hit_rate_and_equivalence():
     assert rate > 0.5
 
     # surface the realistic hit rate in BENCH.json
-    perf.event("bench.te.replay.memo_hit", hits)
-    perf.event("bench.te.replay.memo_miss", misses)
-    perf.record("bench.te.replay.hit_rate", rate, rounds=cached.n_rounds)
+    metrics.counter("bench.te.replay.memo_hit").inc(hits)
+    metrics.counter("bench.te.replay.memo_miss").inc(misses)
+    metrics.gauge("bench.te.replay.hit_rate").set(rate)
 
 
 def test_write_bench_report():
     lp = MultiCommodityLp(abilene(), gravity_demands(
         abilene(), 5000.0, np.random.default_rng(0)
     ))
-    path = perf.write_bench(
-        BENCH_JSON,
+    report = bench_report(
+        metrics.current(),
         extra={
             "te_workload": {
                 "n_rounds": N_ROUNDS,
@@ -169,7 +174,8 @@ def test_write_bench_report():
             }
         },
     )
-    print(f"\nwrote {path}")
+    BENCH_JSON.write_text(json.dumps(report, indent=2) + "\n")
+    print(f"\nwrote {BENCH_JSON}")
 
 
 if __name__ == "__main__":

@@ -35,8 +35,9 @@ and after the subcommand.  ``--workers N`` spreads work over N processes (also t
 cache (``REPRO_CACHE_DIR``); ``--no-te-cache`` disables the in-memory
 incremental TE solve cache (:mod:`repro.te.incremental`; also the
 ``REPRO_TE_NO_CACHE`` env var — results are byte-identical either way);
-``--bench-json PATH`` writes the run's timing report (:mod:`repro.perf`)
-to a machine-readable JSON file; ``--journal DIR`` journals controller
+``--bench-json PATH`` writes the run's ``BENCH.json`` timing report
+(:func:`repro.obs.export.bench_report`: the run's timers and counters
+from :mod:`repro.obs.metrics`) to PATH; ``--journal DIR`` journals controller
 state durably under DIR (:mod:`repro.recovery`) so a crashed run
 resumes instead of restarting — results are byte-identical either way;
 ``--trace DIR`` (also the
@@ -436,7 +437,10 @@ def _global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
     )
     parser.add_argument(
         "--bench-json", type=str, metavar="PATH", default=default(""),
-        help="write the run's timing report (repro.perf) to PATH",
+        help=(
+            "write the run's BENCH.json timing report "
+            "(repro.obs.export.bench_report) to PATH"
+        ),
     )
     parser.add_argument(
         "--trace", type=str, metavar="DIR", default=default(""),
@@ -696,13 +700,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     """Run the handler; trace and bench reports cover this run only."""
-    from repro.obs import metrics
+    from repro import obs
 
     trace_dir = _trace_dir(args)
-    with metrics.isolated() as registry:
+    with obs.metrics.isolated() as registry:
         if trace_dir:
-            from repro import obs
-
             tracer = obs.Tracer()
             with obs.tracing(tracer):
                 status = args.handler(args)
@@ -714,11 +716,12 @@ def _run(args: argparse.Namespace) -> int:
         for path in sorted(paths.values()):
             print(f"wrote {path}", file=sys.stderr)
     if args.bench_json:
-        from repro import perf
+        import json
+        from pathlib import Path
 
-        path = perf.PerfRegistry(registry).write_bench(
-            args.bench_json, extra={"command": args.command}
-        )
+        report = obs.bench_report(registry, extra={"command": args.command})
+        path = Path(args.bench_json)
+        path.write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {path}")
     return status
 

@@ -26,8 +26,8 @@ PACKAGE_DIR = Path(__file__).resolve().parent
 #: Layers whose source bytes are proven result-inert, so
 #: :func:`code_fingerprint` leaves them out:
 #:
-#: * ``repro.obs`` / ``repro.perf`` — tracing and metrics never perturb
-#:   results (byte-identical goldens with tracing on and off);
+#: * ``repro.obs`` — tracing and metrics never perturb results
+#:   (byte-identical goldens with tracing on and off);
 #: * ``repro.lint`` — the analyzer, never imported by experiments;
 #: * ``repro.cli`` / ``repro.analysis.paper_report`` — presentation on
 #:   top of finished metrics dicts.
@@ -36,7 +36,6 @@ INERT_MODULES = (
     "repro.cli",
     "repro.lint",
     "repro.obs",
-    "repro.perf",
 )
 
 _memo: dict[tuple[Path, tuple[str, ...]], str] = {}

@@ -91,10 +91,10 @@ _rule(
     "derived from simulated time only: a time.time()/datetime.now()/"
     "perf_counter() value baked into a result makes two identical runs "
     "byte-diff dirty and breaks crash-recovery byte-equivalence.  Only "
-    "repro.obs and repro.perf may read the wall clock (profiling tracks "
-    "are stripped before CI diffs them).",
+    "repro.obs may read the wall clock (profiling tracks are stripped "
+    "before CI diffs them).",
     "Use the engine's SimClock for anything that lands in a result; for "
-    "profiling, route through repro.perf timers or repro.obs spans.",
+    "profiling, route through repro.obs.metrics.timer or repro.obs spans.",
 )
 _rule(
     "D002",
@@ -167,7 +167,7 @@ _rule(
 _rule(
     "T001",
     "trace/metric name off-catalog or not dotted lowercase",
-    "Span, point-event, metric, perf-timer and engine-event names are "
+    "Span, point-event, metric, timer and engine-event names are "
     "a public, grep-able surface (Perfetto tracks, Prometheus series, "
     "events.jsonl).  Names must be dotted lowercase "
     "(component.thing[.detail]) and declared in the central catalog "

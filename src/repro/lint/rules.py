@@ -30,7 +30,7 @@ from typing import Iterator
 from repro.lint.model import RULES, Finding
 
 #: modules (by dotted prefix) that own the wall clock
-WALL_CLOCK_ALLOWED = ("repro.obs", "repro.perf")
+WALL_CLOCK_ALLOWED = ("repro.obs",)
 
 #: wall-clock callables, by origin module
 _WALL_CLOCK_FNS = {
@@ -65,7 +65,7 @@ NAME_BEARING_CALLS = frozenset(
     {
         "span", "point",                       # repro.obs.trace
         "counter", "gauge", "histogram", "summary",  # repro.obs.metrics
-        "timer", "record", "event",            # repro.perf
+        "timer", "record", "event",            # metrics.timer, timing verbs
         "publish", "subscribe",                # repro.engine kernel
     }
 )

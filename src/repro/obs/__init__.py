@@ -7,10 +7,11 @@ Three pillars (see DESIGN.md §5f):
   ``perf_counter``), attached to the engine via the observer hook and
   zero-cost when disabled;
 * :mod:`repro.obs.metrics` — labelled counters / gauges / fixed-bucket
-  histograms / summaries, mergeable across sweep workers
-  (:mod:`repro.perf` is now a back-compat shim over this registry);
+  histograms / summaries and the ``timer`` block, mergeable across
+  sweep workers; the one metrics API of the package;
 * :mod:`repro.obs.export` — Chrome-trace/Perfetto ``trace.json``,
-  JSONL event log, Prometheus textfile and a terminal run summary.
+  JSONL event log, Prometheus textfile, the ``BENCH.json`` timing
+  report and a terminal run summary.
 
 Quickstart::
 
@@ -27,6 +28,7 @@ or, from the CLI, ``repro --trace out/obs replay ...`` (also via the
 
 from . import export, metrics, names, trace
 from .export import (
+    bench_report,
     chrome_trace,
     events_jsonl,
     export_run,
@@ -59,6 +61,7 @@ __all__ = [
     "PointEvent",
     "Span",
     "Tracer",
+    "bench_report",
     "chrome_trace",
     "current_tracer",
     "describe",

@@ -1,6 +1,6 @@
-"""Exporters: Chrome trace JSON, JSONL event log, Prometheus text.
+"""Exporters: Chrome trace JSON, JSONL event log, Prometheus text, BENCH.json.
 
-Four renderings of one run's observability record:
+Five renderings of one run's observability record:
 
 * :func:`chrome_trace` — the Trace Event Format consumed by Perfetto
   and ``chrome://tracing``.  Two process tracks: pid 1 is **sim time**
@@ -12,6 +12,9 @@ Four renderings of one run's observability record:
 * :func:`prometheus_text` — the Prometheus textfile exposition of a
   :class:`~repro.obs.metrics.MetricsRegistry` (node-exporter textfile
   collector compatible).
+* :func:`bench_report` — the ``BENCH.json`` timing report (schema 1)
+  of a :class:`~repro.obs.metrics.MetricsRegistry`, written by
+  ``repro --bench-json`` and the micro-benchmarks;
 * :func:`run_summary` — a short terminal digest.
 
 :func:`export_run` writes the whole set into a directory:
@@ -24,6 +27,7 @@ via :func:`repro.obs.metrics.timestamp_unix`.
 from __future__ import annotations
 
 import json
+import platform
 import re
 from pathlib import Path
 from typing import Any
@@ -246,6 +250,53 @@ def prometheus_text(registry: MetricsRegistry) -> str:
         declare(f"{pname}_seconds_max", "gauge")
         lines.append(f"{pname}_seconds_max{labels} {_fmt(summary.max_s)}")
     return "\n".join(lines) + "\n" if lines else ""
+
+
+# ---------------------------------------------------------------------------
+# BENCH.json
+# ---------------------------------------------------------------------------
+
+#: ``BENCH.json`` schema version
+BENCH_SCHEMA = 1
+
+
+def bench_report(
+    registry: MetricsRegistry, extra: dict[str, Any] | None = None
+) -> dict[str, Any]:
+    """Render ``registry`` as a ``BENCH.json`` report (schema 1).
+
+    Summaries become ``timers`` (count/total/mean/min/max/meta) and
+    counters become ``events``, both keyed by flat series name;
+    ``gauges``, ``histograms`` and ``extra`` appear only when present.
+    ``generated_unix`` honours ``SOURCE_DATE_EPOCH``, so two identical
+    runs give byte-identical reports.
+    """
+    report: dict[str, Any] = {
+        "schema": BENCH_SCHEMA,
+        "generated_unix": timestamp_unix(),
+        "host": {
+            "platform": platform.platform(),
+            "python": platform.python_version(),
+        },
+        "timers": {
+            name: stat.as_dict() for name, stat in registry.summaries().items()
+        },
+        "events": {
+            name: int(value) if value == int(value) else value
+            for name, value in registry.counters().items()
+        },
+    }
+    gauges = registry.gauges()
+    if gauges:
+        report["gauges"] = gauges
+    histograms = registry.histograms()
+    if histograms:
+        report["histograms"] = {
+            name: h.as_dict() for name, h in histograms.items()
+        }
+    if extra:
+        report["extra"] = dict(extra)
+    return report
 
 
 # ---------------------------------------------------------------------------

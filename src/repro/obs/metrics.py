@@ -13,8 +13,9 @@ families, all addressable by ``(name, labels)``:
   two registries filled on different workers can be merged bucket by
   bucket without resampling;
 * **summary** — count/total/min/max of a stream of durations; this is
-  exactly the aggregate :mod:`repro.perf` has always written into
-  ``BENCH.json``, so the perf layer now records through here.
+  the timer aggregate ``BENCH.json`` reports
+  (:func:`repro.obs.export.bench_report`).  :func:`timer` times a
+  block into one.
 
 Registries are **mergeable**: :meth:`MetricsRegistry.merge` folds
 another registry in (counters add, histograms add bucket-wise,
@@ -24,9 +25,13 @@ plain JSON so a sweep worker can ship its registry back to the parent
 process.  Merged totals are independent of how points were sharded
 over workers — the worker-count-invariance test pins that.
 
-A process-wide *current* registry plus thread-local
-:func:`isolated` blocks mirror the :mod:`repro.perf` conventions (the
-perf module is now a thin view over this machinery).
+Instrumentation records into the *current* registry: the process-wide
+:data:`REGISTRY`, unless the calling thread is inside :func:`isolated`,
+which swaps in a fresh registry for the enclosed block (per thread, so
+pool workers in the thread-fallback mode cannot bleed into each other).
+The sweep runner and the CLI run every run inside :func:`isolated`, so
+each run reports its own metrics rather than an accumulation of
+whatever ran earlier in the process.
 """
 
 from __future__ import annotations
@@ -136,14 +141,22 @@ class Histogram:
                 return
         self.inf_count += 1
 
+    def as_dict(self) -> dict[str, Any]:
+        return {
+            "buckets": list(self.buckets),
+            "counts": list(self.counts),
+            "inf_count": self.inf_count,
+            "total": self.total,
+            "n": self.n,
+        }
+
 
 @dataclass
 class Summary:
     """count/total/min/max aggregate of one timer-style stream.
 
-    This is the ``BENCH.json`` timer aggregate, lifted out of
-    :mod:`repro.perf`; ``meta`` keeps the most recent record's
-    free-form annotations (workers, cache state, ...).
+    This is the ``BENCH.json`` timer aggregate; ``meta`` keeps the most
+    recent record's free-form annotations (workers, cache state, ...).
     """
 
     count: int = 0
@@ -335,16 +348,7 @@ class MetricsRegistry:
             "schema": _PAYLOAD_SCHEMA,
             "counters": rows(self._counters, lambda c: {"value": c.value}),
             "gauges": rows(self._gauges, lambda g: {"value": g.value}),
-            "histograms": rows(
-                self._histograms,
-                lambda h: {
-                    "buckets": list(h.buckets),
-                    "counts": list(h.counts),
-                    "inf_count": h.inf_count,
-                    "total": h.total,
-                    "n": h.n,
-                },
-            ),
+            "histograms": rows(self._histograms, Histogram.as_dict),
             "summaries": rows(
                 self._summaries,
                 lambda s: {
@@ -386,7 +390,7 @@ class MetricsRegistry:
         return registry
 
 
-#: Process-wide default registry (mirrors ``repro.perf.REGISTRY``).
+#: Process-wide default registry.
 REGISTRY = MetricsRegistry()
 
 _isolation = threading.local()
@@ -430,3 +434,18 @@ def histogram(
 
 def summary(name: str, **labels: Any) -> Summary:
     return current().summary(name, **labels)
+
+
+@contextmanager
+def timer(name: str, **meta: Any) -> Iterator[None]:
+    """Time the enclosed block into the current registry's ``summary(name)``.
+
+    The interval is recorded even when the block raises; ``meta``
+    annotates the record (``with timer("synthesis.summaries", workers=4):``).
+    """
+    registry = current()
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        registry.summary(name).add(time.perf_counter() - start, meta)

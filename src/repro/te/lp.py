@@ -33,9 +33,9 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from repro import perf
 from repro.net.demands import Demand
 from repro.net.topology import Topology
+from repro.obs import metrics as _metrics
 from repro.te.solution import EPSILON, FlowAssignment, TeSolution
 
 
@@ -139,7 +139,7 @@ class MultiCommodityLp:
         method reuses the cached matrix.
         """
         if self._conservation_cache is None:
-            with perf.timer("lp.assemble.conservation"):
+            with _metrics.timer("lp.assemble.conservation"):
                 n_k, n_e = self.n_demands, self.n_links
                 n_n = len(self.nodes)
                 k = np.arange(n_k, dtype=np.int64)
@@ -180,7 +180,7 @@ class MultiCommodityLp:
     def _capacity(self) -> tuple[sparse.coo_matrix, np.ndarray]:
         """A_ub x <= cap rows: one per link, summed over commodities."""
         if self._capacity_cache is None:
-            with perf.timer("lp.assemble.capacity"):
+            with _metrics.timer("lp.assemble.capacity"):
                 n_k, n_e = self.n_demands, self.n_links
                 k = np.arange(n_k, dtype=np.int64)
                 e = np.arange(n_e, dtype=np.int64)
@@ -229,7 +229,7 @@ class MultiCommodityLp:
     # -- solves -------------------------------------------------------------
 
     def _run(self, c, a_ub, b_ub, a_eq, b_eq, bounds):
-        with perf.timer(
+        with _metrics.timer(
             "lp.solve", n_vars=len(c), n_demands=self.n_demands
         ):
             result = linprog(

@@ -1,10 +1,13 @@
-"""Tests for the mergeable metrics registry."""
+"""Tests for the mergeable metrics registry, its timer and BENCH.json."""
 
+import json
 import math
+import threading
 
 import pytest
 
 from repro.obs import metrics
+from repro.obs.export import BENCH_SCHEMA, bench_report
 from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
 
 
@@ -82,6 +85,39 @@ class TestInstruments:
         assert not reg.empty
         reg.reset()
         assert reg.empty
+
+
+    def test_readers_do_not_create_series(self):
+        reg = MetricsRegistry()
+        assert reg.get_summary("nope") is None
+        assert reg.counter_value("nope") == 0.0
+        assert reg.empty
+
+
+class TestTimer:
+    def test_timer_records_elapsed(self):
+        with metrics.isolated() as reg:
+            with metrics.timer("work"):
+                pass
+        stat = reg.get_summary("work")
+        assert stat.count == 1
+        assert stat.total_s >= 0.0
+
+    def test_timer_records_on_exception(self):
+        with metrics.isolated() as reg:
+            with pytest.raises(RuntimeError):
+                with metrics.timer("work"):
+                    raise RuntimeError("boom")
+        assert reg.get_summary("work").count == 1
+
+    def test_meta_keeps_latest(self):
+        with metrics.isolated() as reg:
+            with metrics.timer("work", workers=1):
+                pass
+            with metrics.timer("work", workers=8):
+                pass
+        assert reg.get_summary("work").count == 2
+        assert reg.get_summary("work").meta == {"workers": 8}
 
 
 class TestMerge:
@@ -183,12 +219,56 @@ class TestAmbientRegistry:
                 metrics.counter("c").inc()
             assert inner.counter_value("c") == 1.0
             assert outer.counter_value("c") == 0.0
+            assert metrics.current() is outer
 
     def test_isolated_accepts_existing_registry(self):
         reg = MetricsRegistry()
         with metrics.isolated(reg) as seen:
             assert seen is reg
             assert metrics.current() is reg
+
+    def test_isolated_restored_on_exception(self):
+        with pytest.raises(RuntimeError):
+            with metrics.isolated():
+                raise RuntimeError("boom")
+        assert metrics.current() is metrics.REGISTRY
+
+    def test_threads_are_independent(self):
+        errors = []
+
+        def worker(tag):
+            try:
+                with metrics.isolated() as reg:
+                    for _ in range(50):
+                        with metrics.timer(tag):
+                            pass
+                assert reg.get_summary(tag).count == 50
+                for other in ("t0", "t1"):
+                    if other != tag:
+                        assert reg.get_summary(other) is None
+            except AssertionError as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(f"t{i}",)) for i in range(2)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors
+
+    def test_back_to_back_runs_do_not_accumulate(self):
+        reports = []
+        for _ in range(2):
+            with metrics.isolated() as reg:
+                metrics.counter("run.step").inc()
+                with metrics.timer("run.work"):
+                    pass
+            reports.append(bench_report(reg))
+        for report in reports:
+            assert report["events"] == {"run.step": 1}
+            assert report["timers"]["run.work"]["count"] == 1
 
     def test_timestamp_honours_source_date_epoch(self, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
@@ -197,3 +277,49 @@ class TestAmbientRegistry:
     def test_timestamp_ignores_garbage_epoch(self, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "not-a-number")
         assert metrics.timestamp_unix() > 1700000000.0
+
+
+class TestBenchReport:
+    @staticmethod
+    def _filled() -> MetricsRegistry:
+        reg = MetricsRegistry()
+        reg.summary("lp.solve").add(0.5, meta={"workers": 2})
+        reg.counter("te.cache.memo_hit").inc(3)
+        return reg
+
+    def test_schema_1_layout(self):
+        report = bench_report(self._filled())
+        assert report["schema"] == BENCH_SCHEMA == 1
+        assert list(report) == [
+            "schema", "generated_unix", "host", "timers", "events",
+        ]
+        assert set(report["host"]) == {"platform", "python"}
+        assert report["timers"] == {
+            "lp.solve": {
+                "count": 1,
+                "total_s": 0.5,
+                "mean_s": 0.5,
+                "min_s": 0.5,
+                "max_s": 0.5,
+                "meta": {"workers": 2},
+            }
+        }
+        assert report["events"] == {"te.cache.memo_hit": 3}
+        assert isinstance(report["events"]["te.cache.memo_hit"], int)
+
+    def test_optional_sections_only_when_present(self):
+        reg = self._filled()
+        reg.gauge("bench.ratio").set(0.75)
+        reg.histogram("lat", buckets=(1.0,)).observe(0.5)
+        report = bench_report(reg, extra={"command": "reactive"})
+        assert list(report)[5:] == ["gauges", "histograms", "extra"]
+        assert report["gauges"] == {"bench.ratio": 0.75}
+        assert report["histograms"]["lat"]["counts"] == [1]
+        assert report["extra"] == {"command": "reactive"}
+
+    def test_identical_registries_give_byte_equal_reports(self, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        a = json.dumps(bench_report(self._filled(), {"n": 1}), indent=2)
+        b = json.dumps(bench_report(self._filled(), {"n": 1}), indent=2)
+        assert a == b
+        assert json.loads(a)["generated_unix"] == 1700000000.0

@@ -96,14 +96,14 @@ class TestDatasetIntegration:
         assert warm == cold
 
     def test_warm_run_skips_synthesis(self, tiny_config):
-        from repro import perf
+        from repro.obs import metrics
 
         dataset = BackboneDataset(tiny_config)
         dataset.summaries()
-        perf.reset()
-        dataset.summaries()
-        assert perf.event_count("synthesis.cache_hit") == 1
-        assert perf.timer_stat("synthesis.summaries") is None
+        with metrics.isolated() as reg:
+            dataset.summaries()
+        assert reg.counter_value("synthesis.cache_hit") == 1
+        assert reg.get_summary("synthesis.summaries") is None
 
     def test_no_cache_keeps_disk_untouched(self, tiny_config, isolated_cache):
         BackboneDataset(tiny_config).summaries(cache=False)
