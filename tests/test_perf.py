@@ -1,192 +1,112 @@
-"""Tests for the repro.perf timing instrumentation."""
+"""Timing and event instrumentation through repro.obs.metrics.
+
+Timers are summaries, events are counters, ``isolated()`` scopes a
+run's records, and :func:`repro.obs.export.bench_report` renders them
+as ``BENCH.json``.
+"""
 
 import json
 
 import pytest
 
-from repro.perf import SCHEMA_VERSION, PerfRegistry
+from repro.obs import metrics
+from repro.obs.export import bench_report
+from repro.obs.metrics import MetricsRegistry
 
 
 @pytest.fixture()
 def registry():
-    return PerfRegistry()
+    return MetricsRegistry()
 
 
 class TestTimers:
-    def test_timer_records_elapsed(self, registry):
-        with registry.timer("work"):
-            pass
-        stat = registry.timer_stat("work")
-        assert stat.count == 1
-        assert stat.total_s >= 0.0
-
-    def test_timer_records_on_exception(self, registry):
-        with pytest.raises(RuntimeError):
-            with registry.timer("work"):
-                raise RuntimeError("boom")
-        assert registry.timer_stat("work").count == 1
-
     def test_aggregation(self, registry):
-        registry.record("work", 1.0)
-        registry.record("work", 3.0)
-        stat = registry.timer_stat("work")
+        registry.summary("work").add(1.0)
+        registry.summary("work").add(3.0)
+        stat = registry.get_summary("work")
         assert stat.count == 2
         assert stat.total_s == pytest.approx(4.0)
         assert stat.mean_s == pytest.approx(2.0)
         assert stat.min_s == pytest.approx(1.0)
         assert stat.max_s == pytest.approx(3.0)
 
-    def test_meta_keeps_latest(self, registry):
-        registry.record("work", 1.0, workers=1)
-        registry.record("work", 1.0, workers=8)
-        assert registry.timer_stat("work").meta == {"workers": 8}
-
     def test_negative_elapsed_rejected(self, registry):
         with pytest.raises(ValueError):
-            registry.record("work", -1.0)
+            registry.summary("work").add(-1.0)
 
     def test_unknown_timer_is_none(self, registry):
-        assert registry.timer_stat("nope") is None
+        assert registry.get_summary("nope") is None
 
 
 class TestEvents:
     def test_counts_accumulate(self, registry):
-        registry.event("cache.hit")
-        registry.event("cache.hit", 2)
-        assert registry.event_count("cache.hit") == 3
+        registry.counter("cache.hit").inc()
+        registry.counter("cache.hit").inc(2)
+        assert registry.counter_value("cache.hit") == 3
 
     def test_unknown_event_is_zero(self, registry):
-        assert registry.event_count("nope") == 0
+        assert registry.counter_value("nope") == 0
 
 
 class TestCollect:
-    def test_schema(self, registry):
-        registry.record("a", 0.5, workers=2)
-        registry.event("hit")
-        report = registry.collect(extra={"note": "x"})
-        assert report["schema"] == SCHEMA_VERSION
-        assert "generated_unix" in report
-        assert report["timers"]["a"]["count"] == 1
-        assert report["timers"]["a"]["meta"] == {"workers": 2}
-        assert report["events"] == {"hit": 1}
-        assert report["extra"] == {"note": "x"}
-
     def test_reset(self, registry):
-        registry.record("a", 0.5)
-        registry.event("hit")
+        registry.summary("a").add(0.5)
+        registry.counter("hit").inc()
         registry.reset()
-        report = registry.collect()
+        report = bench_report(registry)
         assert report["timers"] == {}
         assert report["events"] == {}
 
     def test_write_bench_round_trips(self, registry, tmp_path):
-        registry.record("a", 0.25)
-        path = registry.write_bench(tmp_path / "BENCH.json")
+        registry.summary("a").add(0.25)
+        path = tmp_path / "BENCH.json"
+        path.write_text(json.dumps(bench_report(registry), indent=2) + "\n")
         payload = json.loads(path.read_text())
         assert payload["timers"]["a"]["total_s"] == pytest.approx(0.25)
-
-    def test_report_is_json_serializable(self, registry):
-        with registry.timer("a", cached=True):
-            pass
-        json.dumps(registry.collect())
 
 
 class TestModuleLevelRegistry:
     def test_default_registry_functions(self):
-        from repro import perf
-
-        perf.reset()
-        with perf.timer("module.level"):
+        metrics.REGISTRY.reset()
+        with metrics.timer("module.level"):
             pass
-        perf.event("module.event")
-        assert perf.timer_stat("module.level").count == 1
-        assert perf.event_count("module.event") == 1
-        perf.reset()
+        metrics.counter("module.event").inc()
+        assert metrics.REGISTRY.get_summary("module.level").count == 1
+        assert metrics.REGISTRY.counter_value("module.event") == 1
+        metrics.REGISTRY.reset()
 
 
 class TestIsolated:
     def test_isolated_registry_captures_records(self):
-        from repro import perf
-
-        perf.reset()
-        with perf.isolated() as reg:
-            perf.record("iso.work", 1.0)
-            perf.event("iso.hit")
-            assert perf.current() is reg
-        assert reg.timer_stat("iso.work").count == 1
-        assert reg.event_count("iso.hit") == 1
+        metrics.REGISTRY.reset()
+        with metrics.isolated() as reg:
+            metrics.summary("iso.work").add(1.0)
+            metrics.counter("iso.hit").inc()
+            assert metrics.current() is reg
+        assert reg.get_summary("iso.work").count == 1
+        assert reg.counter_value("iso.hit") == 1
         # nothing leaked into the default registry
-        assert perf.timer_stat("iso.work") is None
-        assert perf.event_count("iso.hit") == 0
-        assert perf.current() is perf.REGISTRY
-
-    def test_back_to_back_runs_do_not_accumulate(self):
-        from repro import perf
-
-        reports = []
-        for _ in range(2):
-            with perf.isolated() as reg:
-                perf.record("run.step", 1.0)
-                reports.append(reg.collect())
-        assert all(r["timers"]["run.step"]["count"] == 1 for r in reports)
+        assert metrics.REGISTRY.get_summary("iso.work") is None
+        assert metrics.REGISTRY.counter_value("iso.hit") == 0
+        assert metrics.current() is metrics.REGISTRY
 
     def test_nesting_restores_outer(self):
-        from repro import perf
-
-        with perf.isolated() as outer:
-            perf.record("outer.only", 1.0)
-            with perf.isolated() as inner:
-                perf.record("inner.only", 1.0)
-            perf.record("outer.only", 1.0)
-        assert inner.timer_stat("inner.only").count == 1
-        assert inner.timer_stat("outer.only") is None
-        assert outer.timer_stat("outer.only").count == 2
-        assert outer.timer_stat("inner.only") is None
-
-    def test_restored_on_exception(self):
-        from repro import perf
-
-        with pytest.raises(RuntimeError):
-            with perf.isolated():
-                raise RuntimeError("boom")
-        assert perf.current() is perf.REGISTRY
-
-    def test_threads_are_independent(self):
-        import threading
-
-        from repro import perf
-
-        errors = []
-
-        def worker(tag):
-            try:
-                with perf.isolated() as reg:
-                    for _ in range(50):
-                        perf.record(tag, 1.0)
-                assert reg.timer_stat(tag).count == 50
-                for other in ("t0", "t1"):
-                    if other != tag:
-                        assert reg.timer_stat(other) is None
-            except AssertionError as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=worker, args=(f"t{i}",)) for i in range(2)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
+        with metrics.isolated() as outer:
+            metrics.summary("outer.only").add(1.0)
+            with metrics.isolated() as inner:
+                metrics.summary("inner.only").add(1.0)
+            assert metrics.current() is outer
+            metrics.summary("outer.only").add(1.0)
+        assert inner.get_summary("inner.only").count == 1
+        assert inner.get_summary("outer.only") is None
+        assert outer.get_summary("outer.only").count == 2
+        assert outer.get_summary("inner.only") is None
 
     def test_explicit_registry_reused(self):
-        from repro import perf
-        from repro.perf import PerfRegistry
-
-        reg = PerfRegistry()
-        with perf.isolated(reg) as got:
-            perf.record("again", 1.0)
+        reg = MetricsRegistry()
+        with metrics.isolated(reg) as got:
+            metrics.summary("again").add(1.0)
         assert got is reg
-        with perf.isolated(reg):
-            perf.record("again", 1.0)
-        assert reg.timer_stat("again").count == 2
+        with metrics.isolated(reg):
+            metrics.summary("again").add(1.0)
+        assert reg.get_summary("again").count == 2
