@@ -1,4 +1,4 @@
-"""Flow decomposition: edge flows -> path (tunnel) flows.
+"""Flow decomposition: source flows -> demand flows -> path (tunnel) flows.
 
 The LP allocators return per-edge flows, but SWAN and B4 program the
 network as *tunnels* — explicit paths with rates.  The classical flow
@@ -7,11 +7,17 @@ value ``v`` splits into at most ``|E|`` simple paths (plus cycles,
 which carry no value and are discarded).  This module performs that
 decomposition so LP output can drive a tunnel-based data plane, and so
 tests can check the two representations agree.
+
+One step comes before it: the node-arc LP carries one flow block per
+*source node*, and :func:`split_source_flows` splits each block into
+the per-demand edge flows every :class:`TeSolution` holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.net.paths import LinkPath
 from repro.net.topology import Topology
@@ -113,3 +119,100 @@ def decompose_solution(
         i: decompose_assignment(solution.topology, a)
         for i, a in enumerate(solution.assignments)
     }
+
+
+def split_source_flows(
+    flows: np.ndarray,
+    volumes: np.ndarray,
+    *,
+    demand_block: np.ndarray,
+    demand_dst: np.ndarray,
+    link_src: np.ndarray,
+    link_dst: np.ndarray,
+    n_nodes: int,
+) -> np.ndarray:
+    """Split per-source link flows into per-demand link flows.
+
+    ``flows[b, e]`` is the flow on link ``e`` sourced at block ``b``'s
+    node; ``volumes[k] >= 0`` is demand ``k``'s throughput, absorbed at
+    node ``demand_dst[k]``; ``demand_block[k]`` is its source's block.
+    Link endpoints and sinks are node indices below ``n_nodes``.
+    Returns the ``(n_demands, n_links)`` per-demand flows.
+
+    The split is proportional.  Within a block, flow leaving node ``v``
+    takes each out-link, or is absorbed at ``v``, in proportion to the
+    flow doing so; ``h[v, j]``, the chance that flow at ``v`` ends at
+    sink ``j``, solves one small linear system, and sink ``j``'s share
+    of link ``e`` is ``flows[b, e] * h[dst(e), j]``.  Because the block
+    conserves flow, each share conserves flow too, with the source
+    emitting and sink ``j`` absorbing what ends at ``j``.  Demands that
+    share a (source, sink) pair split that sink's share by volume.
+
+    Nothing is dropped: flows at or below EPSILON are ignored as
+    before, per-demand shares at or below EPSILON and rounding error go
+    to the link's largest share, and a circulation that reaches no
+    sink (a solver-tolerance cycle) goes whole to the block's first
+    demand, which a circulation leaves balanced.  Each block's per-link
+    total therefore equals its flow.  The computation is a fixed
+    sequence of numpy operations, so a replayed vector splits
+    bit-identically.
+    """
+    n_blocks, n_links = flows.shape
+    n_demands = len(volumes)
+    f = np.where(flows > EPSILON, flows, 0.0)
+    absorb = np.zeros((n_blocks, n_nodes))
+    np.add.at(absorb, (demand_block, demand_dst), volumes)
+    # w[b, u, v]: block b's flow from u to v, parallel links summed
+    cell = (link_src * n_nodes + link_dst)[None, :] + (
+        np.arange(n_blocks)[:, None] * n_nodes * n_nodes
+    )
+    w = np.bincount(
+        cell.ravel(), weights=f.ravel(), minlength=n_blocks * n_nodes * n_nodes
+    ).reshape(n_blocks, n_nodes, n_nodes)
+    out = w.sum(axis=2) + absorb
+    # nodes with a positive-flow route to a sink; the others hold only
+    # closed circulations, which would make the system singular
+    live = absorb > 0
+    positive = w > 0
+    while True:
+        grown = live | (positive & live[:, None, :]).any(axis=2)
+        if np.array_equal(grown, live):
+            break
+        live = grown
+    scale = np.where(live, 1.0 / np.where(out > 0, out, 1.0), 0.0)
+    step = w * scale[:, :, None]
+    ends = absorb * scale
+    eye = np.eye(n_nodes)
+    h = np.linalg.solve(eye - step, eye * ends[:, None, :])
+
+    pair_volume = absorb[demand_block, demand_dst]
+    fraction = np.divide(
+        volumes,
+        pair_volume,
+        out=np.zeros(n_demands),
+        where=pair_volume > 0,
+    )
+    split = (
+        f[demand_block]
+        * h[demand_block[:, None], link_dst[None, :], demand_dst[:, None]]
+        * fraction[:, None]
+    )
+    split = np.where(split > EPSILON, split, 0.0)
+
+    # what the shares miss of each block's flow goes to one demand: the
+    # lowest-indexed demand to the link's likeliest sink, or the
+    # block's first demand when no sink is reachable
+    kept = np.zeros((n_blocks, n_links))
+    np.add.at(kept, demand_block, split)
+    index = np.arange(n_demands)
+    pair_first = np.full((n_blocks, n_nodes), n_demands)
+    np.minimum.at(pair_first, (demand_block, demand_dst), index)
+    block_first = np.full(n_blocks, n_demands)
+    np.minimum.at(block_first, demand_block, index)
+    toward = h[:, link_dst, :]
+    likeliest = toward.argmax(axis=2)
+    reaches = np.take_along_axis(toward, likeliest[:, :, None], axis=2)[:, :, 0] > 0
+    blocks = np.arange(n_blocks)[:, None]
+    owner = np.where(reaches, pair_first[blocks, likeliest], block_first[:, None])
+    split[owner, np.arange(n_links)[None, :]] += f - kept
+    return split

@@ -1,27 +1,53 @@
 """Edge-based multicommodity flow LPs on scipy's HiGHS backend.
 
 This is the workhorse the SWAN/B4-style controllers and the Theorem-1
-machinery sit on.  The formulation is the standard node-arc one:
+machinery sit on.  The formulation is the node-arc one, aggregated by
+source node:
 
-* variables ``x[k, e]`` — flow of commodity ``k`` on link ``e`` — plus
-  one throughput variable ``t[k]`` per commodity;
-* conservation: at every node, commodity outflow minus inflow equals
-  ``+t[k]`` at the source, ``-t[k]`` at the sink, 0 elsewhere;
+* variables ``x[s, e]`` — flow on link ``e`` that originates at source
+  node ``s`` (one flow block per distinct demand source, not per
+  demand) — plus one throughput variable ``t[k]`` per demand;
+* conservation, one row per (source, node): source ``s`` emits
+  ``sum_{k: src_k = s} t[k]``, each demand's sink absorbs its own
+  ``t[k]``, every other node balances;
 * capacity: total flow on a link never exceeds its capacity;
 * demand: ``t[k] <= volume[k]``.
 
-Three objectives are exposed:
+Why aggregating by source is exact: summing a per-demand node-arc
+solution over the demands of each source gives a feasible aggregated
+solution with the same ``t`` and the same per-link totals.  Conversely
+a single-source flow to many sinks decomposes (flow decomposition
+theorem) into per-sink path flows plus circulations; giving each
+demand its sink's path flow is feasible for the per-demand program and
+never raises a link total.  Every objective below is a function of
+``t`` and the per-link totals only (link penalties and the 1e-9
+cycle-suppression cost are per link, not per demand), so both programs
+have the same optimum.  Max concurrent flow ties ``t[k] = lambda *
+volume[k]`` per demand and min-max-utilisation pins ``t[k] =
+volume[k]``, both on the per-demand ``t`` that aggregation keeps, so
+they stay exact too.  On the 21-node / 420-demand backbone this cuts
+the flow variables from one block per demand to one per source node,
+about 17x fewer.
+
+:meth:`MultiCommodityLp._extract` splits each source's flow back into
+per-demand edge flows with
+:func:`repro.te.decompose.split_source_flows`, so every solution has the
+per-demand shape the rest of the package reads.
+
+Four objectives are exposed:
 
 * **max throughput** — maximise ``sum_k t[k]``;
 * **min-penalty at max throughput** — the two-phase program behind
   Theorem 1: first find the maximum throughput ``T*``, then minimise
   ``sum_e penalty[e] * flow[e]`` subject to throughput ``>= T*``.
   This is exactly "min-cost max-flow" generalised to many commodities;
+* **min max utilisation** — serve every demand in full with the hottest
+  link as cool as possible;
 * **max concurrent flow** — maximise ``lambda`` with every commodity
   served ``lambda * volume`` (the classic fairness LP).
 
-Matrices are assembled sparse (COO) — an augmented 21-node backbone with
-~420 commodities stays comfortably within HiGHS territory.
+Matrices are assembled sparse once per instance and reused in CSR form
+by every objective.
 """
 
 from __future__ import annotations
@@ -36,6 +62,7 @@ from scipy.optimize import linprog
 from repro.net.demands import Demand
 from repro.net.topology import Topology
 from repro.obs import metrics as _metrics
+from repro.te.decompose import split_source_flows
 from repro.te.solution import EPSILON, FlowAssignment, TeSolution
 
 
@@ -54,6 +81,13 @@ class LpOutcome:
     x: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
+def _with_column(matrix: sparse.csr_matrix, column: np.ndarray) -> sparse.csr_matrix:
+    """``matrix`` with one extra trailing column (zeros are not stored)."""
+    return sparse.hstack(
+        [matrix, sparse.csr_matrix(column.reshape(-1, 1))], format="csr"
+    )
+
+
 class MultiCommodityLp:
     """Shared LP scaffolding for one (topology, demands) instance."""
 
@@ -68,14 +102,11 @@ class MultiCommodityLp:
         self.demands = tuple(demands)
         self.links = list(topology.links)
         self.nodes = list(topology.nodes)
-        self._link_index = {l.link_id: i for i, l in enumerate(self.links)}
         self._node_index = {n: i for i, n in enumerate(self.nodes)}
         self.n_links = len(self.links)
         self.n_demands = len(self.demands)
-        # x variables: commodity-major layout; t variables appended
-        self.n_flow_vars = self.n_demands * self.n_links
-        # per-link index arrays: all constraint blocks are assembled from
-        # these with numpy broadcasting instead of per-(k, e) Python loops
+        # per-link and per-demand index arrays: all constraint blocks are
+        # assembled from these with numpy broadcasting
         self._link_src = np.fromiter(
             (self._node_index[l.src] for l in self.links),
             dtype=np.int64,
@@ -87,6 +118,24 @@ class MultiCommodityLp:
             count=self.n_links,
         )
         self._link_ids = [l.link_id for l in self.links]
+        self._demand_src = np.fromiter(
+            (self._node_index[d.src] for d in self.demands),
+            dtype=np.int64,
+            count=self.n_demands,
+        )
+        self._demand_dst = np.fromiter(
+            (self._node_index[d.dst] for d in self.demands),
+            dtype=np.int64,
+            count=self.n_demands,
+        )
+        # one flow block per distinct source node, in node order;
+        # _demand_block maps each demand to its source's block
+        source_nodes, demand_block = np.unique(self._demand_src, return_inverse=True)
+        self._demand_block = demand_block.ravel()
+        self.n_sources = len(source_nodes)
+        # x variables: source-major layout x[s, e] at s * n_links + e;
+        # the t variables fill the tail
+        self.n_flow_vars = self.n_sources * self.n_links
         # constraint blocks are identical across the solve methods (and
         # across both phases of the Theorem-1 program), so build each once
         self._conservation_cache: tuple[sparse.coo_matrix, np.ndarray] | None = None
@@ -116,14 +165,6 @@ class MultiCommodityLp:
             b_ub[:] = [l.capacity_gbps for l in self.links]
         self._penalty_cache = None
 
-    # -- variable layout --------------------------------------------------
-
-    def _x(self, k: int, e: int) -> int:
-        return k * self.n_links + e
-
-    def _t(self, k: int) -> int:
-        return self.n_flow_vars + k
-
     @property
     def n_vars(self) -> int:
         return self.n_flow_vars + self.n_demands
@@ -131,63 +172,59 @@ class MultiCommodityLp:
     # -- constraint blocks --------------------------------------------------
 
     def _conservation(self) -> tuple[sparse.coo_matrix, np.ndarray]:
-        """A_eq x = 0 rows: one per (commodity, node).
+        """A_eq x = 0 rows: one per (source, node).
 
         Assembled once per instance as four COO blocks built with index
         arithmetic (+1 at each link's source row, -1 at its destination
-        row, -/+1 tying t_k to its commodity's source/sink); every solve
-        method reuses the cached matrix.
+        row within every source block; -1 tying t_k to its source's
+        source row, +1 to its sink's row); every solve method reuses the
+        cached matrix.
         """
         if self._conservation_cache is None:
             with _metrics.timer("lp.assemble.conservation"):
-                n_k, n_e = self.n_demands, self.n_links
+                n_s, n_e, n_k = self.n_sources, self.n_links, self.n_demands
                 n_n = len(self.nodes)
-                k = np.arange(n_k, dtype=np.int64)
+                s = np.arange(n_s, dtype=np.int64)
                 e = np.arange(n_e, dtype=np.int64)
-                flow_cols = (k[:, None] * n_e + e[None, :]).ravel()
-                out_rows = (k[:, None] * n_n + self._link_src[None, :]).ravel()
-                in_rows = (k[:, None] * n_n + self._link_dst[None, :]).ravel()
-                d_src = np.fromiter(
-                    (self._node_index[d.src] for d in self.demands),
-                    dtype=np.int64,
-                    count=n_k,
-                )
-                d_dst = np.fromiter(
-                    (self._node_index[d.dst] for d in self.demands),
-                    dtype=np.int64,
-                    count=n_k,
-                )
+                flow_cols = (s[:, None] * n_e + e[None, :]).ravel()
+                out_rows = (s[:, None] * n_n + self._link_src[None, :]).ravel()
+                in_rows = (s[:, None] * n_n + self._link_dst[None, :]).ravel()
+                block_rows = self._demand_block * n_n
+                t_cols = self.n_flow_vars + np.arange(n_k, dtype=np.int64)
                 rows = np.concatenate(
-                    [out_rows, in_rows, k * n_n + d_src, k * n_n + d_dst]
+                    [
+                        out_rows,
+                        in_rows,
+                        block_rows + self._demand_src,
+                        block_rows + self._demand_dst,
+                    ]
                 )
-                cols = np.concatenate(
-                    [flow_cols, flow_cols, self.n_flow_vars + k, self.n_flow_vars + k]
-                )
+                cols = np.concatenate([flow_cols, flow_cols, t_cols, t_cols])
                 vals = np.concatenate(
                     [
-                        np.ones(n_k * n_e),
-                        -np.ones(n_k * n_e),
+                        np.ones(n_s * n_e),
+                        -np.ones(n_s * n_e),
                         -np.ones(n_k),
                         np.ones(n_k),
                     ]
                 )
                 a_eq = sparse.coo_matrix(
-                    (vals, (rows, cols)), shape=(n_k * n_n, self.n_vars)
+                    (vals, (rows, cols)), shape=(n_s * n_n, self.n_vars)
                 )
-                self._conservation_cache = (a_eq, np.zeros(n_k * n_n))
+                self._conservation_cache = (a_eq, np.zeros(n_s * n_n))
         return self._conservation_cache
 
     def _capacity(self) -> tuple[sparse.coo_matrix, np.ndarray]:
-        """A_ub x <= cap rows: one per link, summed over commodities."""
+        """A_ub x <= cap rows: one per link, summed over source blocks."""
         if self._capacity_cache is None:
             with _metrics.timer("lp.assemble.capacity"):
-                n_k, n_e = self.n_demands, self.n_links
-                k = np.arange(n_k, dtype=np.int64)
+                n_s, n_e = self.n_sources, self.n_links
+                s = np.arange(n_s, dtype=np.int64)
                 e = np.arange(n_e, dtype=np.int64)
-                rows = np.tile(e, n_k)
-                cols = (k[:, None] * n_e + e[None, :]).ravel()
+                rows = np.tile(e, n_s)
+                cols = (s[:, None] * n_e + e[None, :]).ravel()
                 a_ub = sparse.coo_matrix(
-                    (np.ones(n_k * n_e), (rows, cols)),
+                    (np.ones(n_s * n_e), (rows, cols)),
                     shape=(n_e, self.n_vars),
                 )
                 b_ub = np.array([l.capacity_gbps for l in self.links])
@@ -206,13 +243,17 @@ class MultiCommodityLp:
             self._capacity_csr = self._capacity()[0].tocsr()
         return self._capacity_csr
 
-    def _bounds(self, *, cap_throughput: bool = True) -> list[tuple[float, float | None]]:
-        bounds: list[tuple[float, float | None]] = [
-            (0.0, None) for _ in range(self.n_flow_vars)
-        ]
-        for demand in self.demands:
-            upper = demand.volume_gbps if cap_throughput else None
-            bounds.append((0.0, upper))
+    def _volumes(self) -> np.ndarray:
+        return np.fromiter(
+            (d.volume_gbps for d in self.demands), dtype=float, count=self.n_demands
+        )
+
+    def _bounds(self, *, cap_throughput: bool = True) -> np.ndarray:
+        """``(n_vars, 2)`` lower/upper bounds: flows and t are >= 0."""
+        bounds = np.zeros((self.n_vars, 2))
+        bounds[:, 1] = np.inf
+        if cap_throughput:
+            bounds[self.n_flow_vars :, 1] = self._volumes()
         return bounds
 
     def _penalty_vector(self) -> np.ndarray:
@@ -222,7 +263,7 @@ class MultiCommodityLp:
                 (l.penalty for l in self.links), dtype=float, count=self.n_links
             )
             c = np.zeros(self.n_vars)
-            c[: self.n_flow_vars] = np.tile(per_link, self.n_demands)
+            c[: self.n_flow_vars] = np.tile(per_link, self.n_sources)
             self._penalty_cache = c
         return self._penalty_cache.copy()
 
@@ -248,17 +289,24 @@ class MultiCommodityLp:
     def _extract(self, x: np.ndarray) -> TeSolution:
         """Read a solver vector back into a TeSolution.
 
-        The flow block is scanned as one (n_demands, n_links) array; only
-        the entries above EPSILON (a handful per commodity) are touched in
-        Python.
+        Each source block is split into per-demand flows by
+        :func:`~repro.te.decompose.split_source_flows` (deterministic,
+        so a memo replay of the same vector is bit-identical); only the
+        per-demand entries above EPSILON are touched in Python.
         """
-        flows = np.asarray(x[: self.n_flow_vars]).reshape(
-            self.n_demands, self.n_links
-        )
         t_vals = np.asarray(x[self.n_flow_vars : self.n_flow_vars + self.n_demands])
+        flows = split_source_flows(
+            np.asarray(x[: self.n_flow_vars]).reshape(self.n_sources, self.n_links),
+            np.maximum(t_vals, 0.0),
+            demand_block=self._demand_block,
+            demand_dst=self._demand_dst,
+            link_src=self._link_src,
+            link_dst=self._link_dst,
+            n_nodes=len(self.nodes),
+        )
         edge_flows: list[dict[str, float]] = [{} for _ in range(self.n_demands)]
         # one mask drops the near-zero flows; nonzero gives the surviving
-        # (commodity, link) pairs in row-major order, and one fancy-index
+        # (demand, link) pairs in row-major order, and one fancy-index
         # gather pulls their values — Python only touches the survivors
         mask = flows > EPSILON
         ks, es = np.nonzero(mask)
@@ -318,18 +366,12 @@ class MultiCommodityLp:
         b_eq = self._conservation()[1]
         b_ub = self._capacity()[1]
         # extra row: -sum_k t_k <= -(T* - eps)
-        extra = sparse.coo_matrix(
-            (
-                -np.ones(self.n_demands),
-                (
-                    np.zeros(self.n_demands, dtype=np.int64),
-                    self.n_flow_vars + np.arange(self.n_demands, dtype=np.int64),
-                ),
-            ),
-            shape=(1, self.n_vars),
-        )
+        extra = np.zeros((1, self.n_vars))
+        extra[0, self.n_flow_vars :] = -1.0
         slack = max(1e-7 * max(t_star, 1.0), 1e-9)
-        a_ub_full = sparse.vstack([self._capacity_matrix(), extra])
+        a_ub_full = sparse.vstack(
+            [self._capacity_matrix(), sparse.csr_matrix(extra)], format="csr"
+        )
         b_ub_full = np.concatenate([b_ub, [-(t_star - slack)]])
         c = self._penalty_vector()
         # tiny tie-break keeps flow off zero-penalty cycles
@@ -355,43 +397,29 @@ class MultiCommodityLp:
         above 1.0 mean the demand does not fit and links would be
         oversubscribed proportionally.
         """
-        n = self.n_vars + 1  # mu (the MLU) is the last variable
-        mu = self.n_vars
-
-        a_eq_base, _ = self._conservation()
-        a_eq_base = sparse.coo_matrix(
-            (a_eq_base.data, (a_eq_base.row, a_eq_base.col)),
-            shape=(a_eq_base.shape[0], n),
-        )
+        mu = self.n_vars  # the MLU is one extra, last variable
+        n_rows = self._conservation()[1].shape[0]
         # pin every commodity at full demand: t_k = d_k
-        k = np.arange(self.n_demands, dtype=np.int64)
-        pin = sparse.coo_matrix(
-            (np.ones(self.n_demands), (k, self.n_flow_vars + k)),
-            shape=(self.n_demands, n),
+        pin = sparse.csr_matrix(
+            (
+                np.ones(self.n_demands),
+                (np.arange(self.n_demands), self.n_flow_vars + np.arange(self.n_demands)),
+            ),
+            shape=(self.n_demands, mu + 1),
         )
-        a_eq = sparse.vstack([a_eq_base, pin])
-        b_eq = np.concatenate(
-            [
-                np.zeros(a_eq_base.shape[0]),
-                [d.volume_gbps for d in self.demands],
-            ]
+        a_eq = sparse.vstack(
+            [_with_column(self._conservation_matrix(), np.zeros(n_rows)), pin],
+            format="csr",
         )
-
-        # capacity rows become: sum_k x_ke - cap_e * mu <= 0
-        cap, cap_b = self._capacity()
-        mu_col = sparse.coo_matrix(
-            (-cap_b, (list(range(self.n_links)), [mu] * self.n_links)),
-            shape=(self.n_links, n),
-        )
-        cap = sparse.coo_matrix(
-            (cap.data, (cap.row, cap.col)), shape=(self.n_links, n)
-        )
-        a_ub = (cap + mu_col).tocoo()
+        b_eq = np.concatenate([np.zeros(n_rows), self._volumes()])
+        # capacity rows become: sum_s x_se - cap_e * mu <= 0
+        cap_b = self._capacity()[1]
+        a_ub = _with_column(self._capacity_matrix(), -cap_b)
         b_ub = np.zeros(self.n_links)
 
-        bounds = self._bounds(cap_throughput=False)
-        bounds.append((0.0, None))  # mu free upward: report oversubscription
-        c = np.zeros(n)
+        # mu free upward: report oversubscription
+        bounds = np.vstack([self._bounds(cap_throughput=False), [[0.0, np.inf]]])
+        c = np.zeros(mu + 1)
         c[: self.n_flow_vars] += 1e-9  # cycle suppression
         c[mu] = 1.0
         result = self._run(c, a_ub, b_ub, a_eq, b_eq, bounds)
@@ -412,21 +440,12 @@ class MultiCommodityLp:
         """
         # replace the per-commodity t_k with t_k = lambda * d_k by adding
         # equality rows t_k - d_k * lambda = 0 and one extra variable.
-        n = self.n_vars + 1  # lambda is the last variable
-        lam = self.n_vars
-
-        a_eq_base, _ = self._conservation()
-        a_eq_base = sparse.coo_matrix(
-            (a_eq_base.data, (a_eq_base.row, a_eq_base.col)),
-            shape=(a_eq_base.shape[0], n),
-        )
-        k = np.arange(self.n_demands, dtype=np.int64)
-        volumes = np.fromiter(
-            (d.volume_gbps for d in self.demands), dtype=float, count=self.n_demands
-        )
-        tie = sparse.coo_matrix(
+        lam = self.n_vars  # lambda is the last variable
+        n_rows = self._conservation()[1].shape[0]
+        k = np.arange(self.n_demands)
+        tie = sparse.csr_matrix(
             (
-                np.concatenate([np.ones(self.n_demands), -volumes]),
+                np.concatenate([np.ones(self.n_demands), -self._volumes()]),
                 (
                     np.concatenate([k, k]),
                     np.concatenate(
@@ -434,20 +453,23 @@ class MultiCommodityLp:
                     ),
                 ),
             ),
-            shape=(self.n_demands, n),
+            shape=(self.n_demands, lam + 1),
         )
-        a_eq = sparse.vstack([a_eq_base, tie])
+        a_eq = sparse.vstack(
+            [_with_column(self._conservation_matrix(), np.zeros(n_rows)), tie],
+            format="csr",
+        )
         b_eq = np.zeros(a_eq.shape[0])
+        a_ub = _with_column(self._capacity_matrix(), np.zeros(self.n_links))
+        b_ub = self._capacity()[1]
 
-        a_ub, b_ub = self._capacity()
-        a_ub = sparse.coo_matrix(
-            (a_ub.data, (a_ub.row, a_ub.col)), shape=(self.n_links, n)
+        bounds = np.vstack(
+            [
+                self._bounds(cap_throughput=False),
+                [[0.0, 1.0 if cap_at_one else np.inf]],
+            ]
         )
-
-        bounds = self._bounds(cap_throughput=False)
-        bounds.append((0.0, 1.0 if cap_at_one else None))
-
-        c = np.zeros(n)
+        c = np.zeros(lam + 1)
         c[: self.n_flow_vars] += 1e-9  # cycle suppression, as above
         c[lam] = -1.0
         result = self._run(c, a_ub, b_ub, a_eq, b_eq, bounds)

@@ -1,10 +1,11 @@
-"""Vectorized LP assembly must reproduce the seed (loop-based) assembly.
+"""Vectorized LP assembly must reproduce a loop-based assembly.
 
-``_SeedAssembly`` below is a frozen copy of the original per-(commodity,
-link) Python-loop constraint builder.  The tests check the vectorized
-builder both structurally (identical dense constraint matrices) and
-behaviourally (objective values within 1e-6 on all four LP objectives),
-plus the memoization contract: the two-phase Theorem-1 program assembles
+``_SeedAssembly`` below builds the source-aggregated constraint blocks
+with a plain per-(source, link) Python loop.  The tests check the
+vectorized builder structurally against it (identical dense constraint
+matrices) and check all four objectives against the frozen per-demand
+LP (:class:`tests.te.per_demand_lp.PerDemandLp`), plus the memoization
+contract: the two-phase Theorem-1 program assembles
 conservation/capacity exactly once.
 """
 
@@ -16,57 +17,74 @@ from repro.net.demands import Demand, gravity_demands
 from repro.net.topologies import abilene, figure7_topology, random_wan
 from repro.net.topology import Topology
 from repro.te.lp import MultiCommodityLp
+from tests.te.per_demand_lp import PerDemandLp
 
 
 class _SeedAssembly:
-    """The original loop-based constraint assembly, kept as the oracle."""
+    """Loop-based source-aggregated constraint assembly, the oracle.
+
+    Flow variable ``x[s, e]`` sits at ``s * n_links + e`` for the
+    ``s``-th source node (in node order); ``t[k]`` follows all of them.
+    """
 
     def __init__(self, lp: MultiCommodityLp):
         self.lp = lp
+        self.nodes = list(lp.topology.nodes)
+        self.sources = [n for n in self.nodes if any(d.src == n for d in lp.demands)]
+        self.n_flow_vars = len(self.sources) * len(lp.links)
+        self.n_vars = self.n_flow_vars + len(lp.demands)
+
+    def _x(self, s: int, e: int) -> int:
+        return s * len(self.lp.links) + e
+
+    def _t(self, k: int) -> int:
+        return self.n_flow_vars + k
 
     def conservation(self):
-        lp = self.lp
+        lp, nodes = self.lp, self.nodes
         rows, cols, vals = [], [], []
-        row = 0
-        for k, demand in enumerate(lp.demands):
-            src_i = lp._node_index[demand.src]
-            dst_i = lp._node_index[demand.dst]
-            for e, _link in enumerate(lp.links):
-                link = lp.links[e]
-                rows.append(row + lp._node_index[link.src])
-                cols.append(lp._x(k, e))
+        for s, source in enumerate(self.sources):
+            base = s * len(nodes)
+            for e, link in enumerate(lp.links):
+                rows.append(base + nodes.index(link.src))
+                cols.append(self._x(s, e))
                 vals.append(1.0)
-                rows.append(row + lp._node_index[link.dst])
-                cols.append(lp._x(k, e))
+                rows.append(base + nodes.index(link.dst))
+                cols.append(self._x(s, e))
                 vals.append(-1.0)
-            rows.append(row + src_i)
-            cols.append(lp._t(k))
-            vals.append(-1.0)
-            rows.append(row + dst_i)
-            cols.append(lp._t(k))
-            vals.append(1.0)
-            row += len(lp.nodes)
-        return sparse.coo_matrix((vals, (rows, cols)), shape=(row, lp.n_vars))
+            for k, demand in enumerate(lp.demands):
+                if demand.src != source:
+                    continue
+                rows.append(base + nodes.index(demand.src))
+                cols.append(self._t(k))
+                vals.append(-1.0)
+                rows.append(base + nodes.index(demand.dst))
+                cols.append(self._t(k))
+                vals.append(1.0)
+        return sparse.coo_matrix(
+            (vals, (rows, cols)),
+            shape=(len(self.sources) * len(nodes), self.n_vars),
+        )
 
     def capacity(self):
         lp = self.lp
         rows, cols, vals = [], [], []
-        for e in range(lp.n_links):
-            for k in range(lp.n_demands):
+        for e in range(len(lp.links)):
+            for s in range(len(self.sources)):
                 rows.append(e)
-                cols.append(lp._x(k, e))
+                cols.append(self._x(s, e))
                 vals.append(1.0)
         return sparse.coo_matrix(
-            (vals, (rows, cols)), shape=(lp.n_links, lp.n_vars)
+            (vals, (rows, cols)), shape=(len(lp.links), self.n_vars)
         )
 
     def penalty_vector(self):
         lp = self.lp
-        c = np.zeros(lp.n_vars)
+        c = np.zeros(self.n_vars)
         for e, link in enumerate(lp.links):
             if link.penalty:
-                for k in range(lp.n_demands):
-                    c[lp._x(k, e)] = link.penalty
+                for s in range(len(self.sources)):
+                    c[self._x(s, e)] = link.penalty
         return c
 
 
@@ -119,42 +137,23 @@ class TestMatricesMatchSeed:
 
 @pytest.mark.parametrize("topo,demands", _instances())
 class TestObjectivesMatchSeed:
-    """All four objectives agree with the seed assembly to 1e-6.
-
-    The oracle LP is a MultiCommodityLp whose constraint builders are
-    replaced by the seed implementation, so both sides run through the
-    same HiGHS solve and differ only in assembly.
-    """
-
-    def _seeded(self, topo, demands) -> MultiCommodityLp:
-        lp = MultiCommodityLp(topo, demands)
-        seed = _SeedAssembly(lp)
-        lp._conservation = lambda: (
-            seed.conservation(),
-            np.zeros(lp.n_demands * len(lp.nodes)),
-        )
-        lp._capacity = lambda: (
-            seed.capacity(),
-            np.array([l.capacity_gbps for l in lp.links]),
-        )
-        lp._penalty_vector = seed.penalty_vector
-        return lp
+    """All four objectives agree with the frozen per-demand LP to 1e-9."""
 
     def test_max_throughput(self, topo, demands):
         ours = MultiCommodityLp(topo, demands).max_throughput()
-        seed = self._seeded(topo, demands).max_throughput()
+        seed = PerDemandLp(topo, demands).max_throughput()
         assert ours.objective_value == pytest.approx(
-            seed.objective_value, abs=1e-6
+            seed.objective_value, rel=1e-9
         )
 
     def test_min_penalty_at_max_throughput(self, topo, demands):
         ours = MultiCommodityLp(topo, demands).min_penalty_at_max_throughput()
-        seed = self._seeded(topo, demands).min_penalty_at_max_throughput()
+        seed = PerDemandLp(topo, demands).min_penalty_at_max_throughput()
         assert ours.objective_value == pytest.approx(
-            seed.objective_value, abs=1e-6
+            seed.objective_value, rel=1e-9, abs=1e-9
         )
         assert ours.solution.total_allocated_gbps == pytest.approx(
-            seed.solution.total_allocated_gbps, abs=1e-6
+            seed.solution.total_allocated_gbps, rel=1e-9
         )
 
     def test_min_max_utilization(self, topo, demands):
@@ -162,16 +161,16 @@ class TestObjectivesMatchSeed:
             Demand(d.src, d.dst, 0.1 * d.volume_gbps) for d in demands
         ]  # keep every instance feasible at full service
         ours = MultiCommodityLp(topo, scaled).min_max_utilization()
-        seed = self._seeded(topo, scaled).min_max_utilization()
+        seed = PerDemandLp(topo, scaled).min_max_utilization()
         assert ours.objective_value == pytest.approx(
-            seed.objective_value, abs=1e-6
+            seed.objective_value, rel=1e-9
         )
 
     def test_max_concurrent_flow(self, topo, demands):
         ours = MultiCommodityLp(topo, demands).max_concurrent_flow()
-        seed = self._seeded(topo, demands).max_concurrent_flow()
+        seed = PerDemandLp(topo, demands).max_concurrent_flow()
         assert ours.objective_value == pytest.approx(
-            seed.objective_value, abs=1e-6
+            seed.objective_value, rel=1e-9
         )
 
 
