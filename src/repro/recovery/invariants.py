@@ -3,7 +3,7 @@
 :class:`InvariantMonitor` is an engine *observer*: it rides every
 per-round report event (``controller.report`` from the plain replay,
 ``te.round`` / ``te.emergency`` from the reaction simulator) and checks
-the controller's committed state against four invariants that must hold
+the controller's committed state against five invariants that must hold
 in any correct run, faulted or not:
 
 * **ber** — no link is configured above the capacity its latest SNR
@@ -17,7 +17,11 @@ in any correct run, faulted or not:
   authoritative record means two components disagree about history);
 * **journal-lineage** — the durable journal's newest transition matches
   the in-memory store's (a divergence means a crash now would recover a
-  *different* network than the one being operated).
+  *different* network than the one being operated);
+* **te-feasibility** — the round's TE solution fits the network as
+  committed after reconfiguration: per-demand flow conservation, every
+  link within its committed capacity (a refused upgrade leaves the
+  old rate), every allocation within ``[0, volume]``.
 
 What a violation *does* is the ``policy``: ``"record"`` traces and
 counts it, ``"degrade"`` additionally forces BER-violating links down
@@ -118,6 +122,7 @@ class InvariantMonitor:
         found.extend(self._check_stale_restore(report))
         found.extend(self._check_version_chain())
         found.extend(self._check_journal_lineage())
+        found.extend(self._check_te_feasibility(report))
         if found:
             self._react(found)
 
@@ -196,6 +201,19 @@ class InvariantMonitor:
                 )
             ]
         return []
+
+    def _check_te_feasibility(self, report: Any) -> list[InvariantViolation]:
+        solution = getattr(report, "solution", None)
+        if solution is None:
+            return []
+        committed = {
+            link_id: link.capacity_gbps
+            for link_id, link in self.controller.state.links.items()
+        }
+        return [
+            InvariantViolation("te-feasibility", None, problem)
+            for problem in solution.violations(capacities=committed)
+        ]
 
     # -- reacting ------------------------------------------------------
 

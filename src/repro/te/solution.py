@@ -113,13 +113,22 @@ class TeSolution:
 
     # -- invariant checks -------------------------------------------------
 
-    def violations(self, *, tolerance: float = 1e-4) -> list[str]:
+    def violations(
+        self,
+        *,
+        tolerance: float = 1e-4,
+        capacities: Mapping[str, float] | None = None,
+    ) -> list[str]:
         """Audit the solution; returns human-readable violations.
 
         Checks, per the LP's constraints:
 
         * no negative edge flow;
-        * no link carries more than its capacity;
+        * no link carries more than its capacity: the topology's, or
+          ``capacities`` (link id -> Gbps, links it omits count as 0)
+          when given, e.g. the capacities actually committed after a
+          reconfiguration;
+        * every demand's allocation lies in ``[0, volume]``;
         * per-commodity flow conservation at every node (source emits
           exactly the allocated volume, sink absorbs it, others balance).
         """
@@ -127,12 +136,23 @@ class TeSolution:
         for link_id, flow in self._link_flow.items():
             if flow < -tolerance:
                 problems.append(f"negative flow {flow:.4f} on {link_id}")
-            capacity = self.topology.link(link_id).capacity_gbps
+            if capacities is None:
+                capacity = self.topology.link(link_id).capacity_gbps
+            else:
+                capacity = capacities.get(link_id, 0.0)
             if flow > capacity + tolerance:
                 problems.append(
                     f"link {link_id} overloaded: {flow:.4f} > {capacity:.4f}"
                 )
         for idx, assignment in enumerate(self.assignments):
+            demand = assignment.demand
+            allocated = assignment.allocated_gbps
+            if not -tolerance <= allocated <= demand.volume_gbps + tolerance:
+                problems.append(
+                    f"demand {idx} ({demand.src}->{demand.dst}): allocated "
+                    f"{allocated:.4f} outside "
+                    f"[0, {demand.volume_gbps:.4f}]"
+                )
             problems.extend(self._conservation_violations(idx, assignment, tolerance))
         return problems
 

@@ -62,7 +62,7 @@ def _controller_scenario(seed_traces: int, seed_demands: int, *, days: float,
 
 
 @scenario
-def golden_replay() -> dict:
+def golden_replay(*, invariants: str | None = None) -> dict:
     from repro.core.controller import DynamicCapacityController
     from repro.core.policies import run_policy
     from repro.sim.replay import replay_controller
@@ -72,7 +72,8 @@ def golden_replay() -> dict:
     )
     controller = DynamicCapacityController(topology, policy=run_policy(), seed=0)
     result = replay_controller(
-        controller, traces, demands, te_interval_s=6 * 3600.0
+        controller, traces, demands, te_interval_s=6 * 3600.0,
+        invariants=invariants,
     )
     return {
         "n_rounds": result.n_rounds,
@@ -93,7 +94,7 @@ def golden_replay() -> dict:
 
 
 @scenario
-def golden_reactive() -> dict:
+def golden_reactive(*, invariants: str | None = None) -> dict:
     from repro.core.controller import DynamicCapacityController
     from repro.core.policies import run_policy
     from repro.sim.reactive import reactive_replay
@@ -109,7 +110,7 @@ def golden_reactive() -> dict:
         )
         result = reactive_replay(
             controller, traces, demands,
-            te_interval_s=4 * 3600.0, mode=mode,
+            te_interval_s=4 * 3600.0, mode=mode, invariants=invariants,
         )
         metrics[mode] = {
             "mode": result.mode,

@@ -5,11 +5,13 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.controller import DynamicCapacityController
+from repro.net.demands import Demand
 from repro.net.topologies import line_topology
 from repro.recovery.invariants import (
     InvariantMonitor,
     InvariantViolationError,
 )
+from repro.te.solution import FlowAssignment, TeSolution
 
 
 def make_controller(seed=0):
@@ -80,6 +82,61 @@ class TestChecks:
         monitor = InvariantMonitor(controller)
         monitor.check_round(clean_report())
         assert [v.invariant for v in monitor.violations] == ["journal-lineage"]
+
+
+def routed_report(gbps, *, volume=None):
+    """A report whose solution routes ``gbps`` over n0 -> n1 -> n2."""
+    demand = Demand("n0", "n2", gbps if volume is None else volume)
+    flows = {"n0->n1#0": gbps, "n1->n2#2": gbps}
+    topology = line_topology(3)
+    return clean_report(
+        solution=TeSolution(topology, [FlowAssignment(demand, gbps, flows)])
+    )
+
+
+class TestTeFeasibility:
+    def test_feasible_solution_passes(self):
+        monitor = InvariantMonitor(make_controller())
+        monitor.check_round(routed_report(80.0))
+        assert monitor.violations == []
+
+    def test_overloaded_solution_flagged(self):
+        monitor = InvariantMonitor(make_controller())
+        monitor.check_round(routed_report(150.0))
+        kinds = [v.invariant for v in monitor.violations]
+        assert kinds == ["te-feasibility", "te-feasibility"]
+        assert all("overloaded" in v.detail for v in monitor.violations)
+
+    def test_checked_against_committed_capacity(self):
+        # the solution's own topology says 100 Gbps; the committed state
+        # says the link was degraded to 50, so 80 Gbps no longer fits
+        controller = make_controller()
+        controller.state_store.commit(
+            controller.state.evolve(
+                {"n1->n2#2": {"capacity_gbps": 50.0}}, label="degraded"
+            )
+        )
+        monitor = InvariantMonitor(controller)
+        monitor.check_round(routed_report(80.0))
+        assert [v.detail for v in monitor.violations] == [
+            "link n1->n2#2 overloaded: 80.0000 > 50.0000"
+        ]
+
+    def test_allocation_above_volume_flagged(self):
+        monitor = InvariantMonitor(make_controller())
+        monitor.check_round(routed_report(60.0, volume=40.0))
+        assert [v.invariant for v in monitor.violations] == ["te-feasibility"]
+        assert "outside [0, 40.0000]" in monitor.violations[0].detail
+
+    def test_broken_conservation_flagged(self):
+        demand = Demand("n0", "n2", 50.0)
+        solution = TeSolution(
+            line_topology(3), [FlowAssignment(demand, 50.0, {"n0->n1#0": 50.0})]
+        )
+        monitor = InvariantMonitor(make_controller())
+        monitor.check_round(clean_report(solution=solution))
+        assert monitor.violations
+        assert all("imbalance" in v.detail for v in monitor.violations)
 
 
 class TestPolicies:
@@ -159,3 +216,25 @@ class TestEndToEnd:
             invariants="abort",  # would raise on any violation
         )
         assert result.n_rounds > 0
+
+
+@pytest.mark.parametrize("scenario", ["replay", "reactive"])
+def test_golden_scenarios_are_te_feasible(scenario, monkeypatch):
+    """Every TE round of the replay/reactive goldens fits the committed
+    network, and arming the monitor leaves the golden metrics alone."""
+    from repro.obs import metrics
+    from tests.golden.scenarios import SCENARIOS, canonical_json
+
+    checked = []
+    check = InvariantMonitor._check_te_feasibility
+
+    def counting(self, report):
+        checked.append(report)
+        return check(self, report)
+
+    monkeypatch.setattr(InvariantMonitor, "_check_te_feasibility", counting)
+    with metrics.isolated() as reg:
+        armed = SCENARIOS[scenario](invariants="record")
+    assert checked
+    assert reg.counter_value("invariants.violations", invariant="te-feasibility") == 0
+    assert canonical_json(armed) == canonical_json(SCENARIOS[scenario]())
