@@ -148,20 +148,24 @@ def split_source_flows(
     emitting and sink ``j`` absorbing what ends at ``j``.  Demands that
     share a (source, sink) pair split that sink's share by volume.
 
-    Nothing is dropped: flows at or below EPSILON are ignored as
-    before, per-demand shares at or below EPSILON and rounding error go
-    to the link's largest share, and a circulation that reaches no
-    sink (a solver-tolerance cycle) goes whole to the block's first
-    demand, which a circulation leaves balanced.  Each block's per-link
-    total therefore equals its flow.  The computation is a fixed
+    Nothing is dropped.  Block flows at or below EPSILON count as zero,
+    as they would per demand.  Per-demand shares at or below EPSILON
+    and rounding error go to one demand on that link: the first one
+    toward its likeliest sink.  A circulation that reaches no sink (a
+    solver-tolerance cycle) goes whole to the block's first demand,
+    which a circulation leaves balanced.  Each block's per-link total
+    therefore equals its flow.  The computation is a fixed
     sequence of numpy operations, so a replayed vector splits
     bit-identically.
     """
     n_blocks, n_links = flows.shape
     n_demands = len(volumes)
     f = np.where(flows > EPSILON, flows, 0.0)
-    absorb = np.zeros((n_blocks, n_nodes))
-    np.add.at(absorb, (demand_block, demand_dst), volumes)
+    absorb = np.bincount(
+        demand_block * n_nodes + demand_dst,
+        weights=volumes,
+        minlength=n_blocks * n_nodes,
+    ).reshape(n_blocks, n_nodes)
     # w[b, u, v]: block b's flow from u to v, parallel links summed
     cell = (link_src * n_nodes + link_dst)[None, :] + (
         np.arange(n_blocks)[:, None] * n_nodes * n_nodes
@@ -182,8 +186,7 @@ def split_source_flows(
     scale = np.where(live, 1.0 / np.where(out > 0, out, 1.0), 0.0)
     step = w * scale[:, :, None]
     ends = absorb * scale
-    eye = np.eye(n_nodes)
-    h = np.linalg.solve(eye - step, eye * ends[:, None, :])
+    h = _absorption(step, ends)
 
     pair_volume = absorb[demand_block, demand_dst]
     fraction = np.divide(
@@ -202,8 +205,11 @@ def split_source_flows(
     # what the shares miss of each block's flow goes to one demand: the
     # lowest-indexed demand to the link's likeliest sink, or the
     # block's first demand when no sink is reachable
-    kept = np.zeros((n_blocks, n_links))
-    np.add.at(kept, demand_block, split)
+    kept = np.bincount(
+        (demand_block[:, None] * n_links + np.arange(n_links)).ravel(),
+        weights=split.ravel(),
+        minlength=n_blocks * n_links,
+    ).reshape(n_blocks, n_links)
     index = np.arange(n_demands)
     pair_first = np.full((n_blocks, n_nodes), n_demands)
     np.minimum.at(pair_first, (demand_block, demand_dst), index)
@@ -211,8 +217,32 @@ def split_source_flows(
     np.minimum.at(block_first, demand_block, index)
     toward = h[:, link_dst, :]
     likeliest = toward.argmax(axis=2)
-    reaches = np.take_along_axis(toward, likeliest[:, :, None], axis=2)[:, :, 0] > 0
+    reaches = toward.max(axis=2) > 0
     blocks = np.arange(n_blocks)[:, None]
     owner = np.where(reaches, pair_first[blocks, likeliest], block_first[:, None])
     split[owner, np.arange(n_links)[None, :]] += f - kept
     return split
+
+
+def _absorption(step: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Solve ``(I - step[b]) h[b] = diag(ends[b])`` for every block ``b``.
+
+    ``step`` is substochastic and every row it leaves nonzero reaches a
+    row with ``ends > 0``, so ``I - step`` is a nonsingular M-matrix and
+    Gauss-Jordan elimination needs no pivoting (every pivot is
+    positive).  Elementwise numpy operations instead of LAPACK keep the
+    result bit-identical across CPUs, which the byte-compared goldens
+    rely on.
+    """
+    n = step.shape[1]
+    eye = np.eye(n)
+    # [I - step | diag(ends)], reduced in place to [I | h]; columns left
+    # of the pivot are already reduced and skipped
+    aug = np.concatenate([eye - step, eye * ends[:, None, :]], axis=2)
+    for v in range(n):
+        row = aug[:, v, v:] / aug[:, v, v][:, None]
+        factor = aug[:, :, v].copy()
+        factor[:, v] = 0.0
+        aug[:, :, v:] -= factor[:, :, None] * row[:, None, :]
+        aug[:, v, v:] = row
+    return aug[:, :, n:]

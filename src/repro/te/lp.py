@@ -19,10 +19,11 @@ solution with the same ``t`` and the same per-link totals.  Conversely
 a single-source flow to many sinks decomposes (flow decomposition
 theorem) into per-sink path flows plus circulations; giving each
 demand its sink's path flow is feasible for the per-demand program and
-never raises a link total.  Every objective below is a function of
-``t`` and the per-link totals only (link penalties and the 1e-9
-cycle-suppression cost are per link, not per demand), so both programs
-have the same optimum.  Max concurrent flow ties ``t[k] = lambda *
+never raises a link total.  Every objective below depends only on
+``t`` and the per-link totals, and never improves when a link total
+grows (link penalties and the 1e-9 cycle-suppression cost are
+non-negative and per link, not per demand), so both programs have the
+same optimum.  Max concurrent flow ties ``t[k] = lambda *
 volume[k]`` per demand and min-max-utilisation pins ``t[k] =
 volume[k]``, both on the per-demand ``t`` that aggregation keeps, so
 they stay exact too.  On the 21-node / 420-demand backbone this cuts
@@ -275,9 +276,9 @@ class MultiCommodityLp:
         ):
             result = linprog(
                 c,
-                A_ub=a_ub.tocsr(),
+                A_ub=a_ub,
                 b_ub=b_ub,
-                A_eq=a_eq.tocsr(),
+                A_eq=a_eq,
                 b_eq=b_eq,
                 bounds=bounds,
                 method="highs",
