@@ -139,13 +139,9 @@ class MultiCommodityLp:
         self.n_flow_vars = self.n_sources * self.n_links
         # constraint blocks are identical across the solve methods (and
         # across both phases of the Theorem-1 program), so build each once
-        self._conservation_cache: tuple[sparse.coo_matrix, np.ndarray] | None = None
-        self._capacity_cache: tuple[sparse.coo_matrix, np.ndarray] | None = None
+        self._conservation_cache: tuple[sparse.csr_matrix, np.ndarray] | None = None
+        self._capacity_cache: tuple[sparse.csr_matrix, np.ndarray] | None = None
         self._penalty_cache: np.ndarray | None = None
-        # the CSR conversions linprog needs are deterministic and as
-        # reusable as the COO blocks themselves; cache them alongside
-        self._conservation_csr: sparse.csr_matrix | None = None
-        self._capacity_csr: sparse.csr_matrix | None = None
 
     def rebind(self, topology: Topology) -> None:
         """Re-point this assembled LP at a structurally identical topology.
@@ -155,8 +151,8 @@ class MultiCommodityLp:
         endpoints, insertion order — as the instance was built from;
         only per-link capacities and penalties may differ.  The capacity
         RHS is rewritten in place (O(n_links)) and the penalty vector is
-        dropped for lazy rebuild; every assembled constraint block and
-        its CSR form is reused as-is, so a rebound instance solves with
+        dropped for lazy rebuild; every assembled constraint block is
+        reused as-is, so a rebound instance solves with
         matrices value-identical to fresh assembly.
         """
         self.topology = topology
@@ -172,14 +168,14 @@ class MultiCommodityLp:
 
     # -- constraint blocks --------------------------------------------------
 
-    def _conservation(self) -> tuple[sparse.coo_matrix, np.ndarray]:
+    def _conservation(self) -> tuple[sparse.csr_matrix, np.ndarray]:
         """A_eq x = 0 rows: one per (source, node).
 
-        Assembled once per instance as four COO blocks built with index
-        arithmetic (+1 at each link's source row, -1 at its destination
-        row within every source block; -1 tying t_k to its source's
-        source row, +1 to its sink's row); every solve method reuses the
-        cached matrix.
+        Assembled once per instance, in the CSR form linprog consumes,
+        from four coordinate blocks built with index arithmetic (+1 at
+        each link's source row, -1 at its destination row within every
+        source block; -1 tying t_k to its source's source row, +1 to its
+        sink's row); every solve method reuses the cached matrix.
         """
         if self._conservation_cache is None:
             with _metrics.timer("lp.assemble.conservation"):
@@ -209,13 +205,13 @@ class MultiCommodityLp:
                         np.ones(n_k),
                     ]
                 )
-                a_eq = sparse.coo_matrix(
+                a_eq = sparse.csr_matrix(
                     (vals, (rows, cols)), shape=(n_s * n_n, self.n_vars)
                 )
                 self._conservation_cache = (a_eq, np.zeros(n_s * n_n))
         return self._conservation_cache
 
-    def _capacity(self) -> tuple[sparse.coo_matrix, np.ndarray]:
+    def _capacity(self) -> tuple[sparse.csr_matrix, np.ndarray]:
         """A_ub x <= cap rows: one per link, summed over source blocks."""
         if self._capacity_cache is None:
             with _metrics.timer("lp.assemble.capacity"):
@@ -224,25 +220,13 @@ class MultiCommodityLp:
                 e = np.arange(n_e, dtype=np.int64)
                 rows = np.tile(e, n_s)
                 cols = (s[:, None] * n_e + e[None, :]).ravel()
-                a_ub = sparse.coo_matrix(
+                a_ub = sparse.csr_matrix(
                     (np.ones(n_s * n_e), (rows, cols)),
                     shape=(n_e, self.n_vars),
                 )
                 b_ub = np.array([l.capacity_gbps for l in self.links])
                 self._capacity_cache = (a_ub, b_ub)
         return self._capacity_cache
-
-    def _conservation_matrix(self) -> sparse.csr_matrix:
-        """The conservation block in the CSR form linprog consumes."""
-        if self._conservation_csr is None:
-            self._conservation_csr = self._conservation()[0].tocsr()
-        return self._conservation_csr
-
-    def _capacity_matrix(self) -> sparse.csr_matrix:
-        """The capacity block in the CSR form linprog consumes."""
-        if self._capacity_csr is None:
-            self._capacity_csr = self._capacity()[0].tocsr()
-        return self._capacity_csr
 
     def _volumes(self) -> np.ndarray:
         return np.fromiter(
@@ -332,20 +316,13 @@ class MultiCommodityLp:
         approximation of the two-phase program.  Keep it well below
         1/max_path_length or it will start sacrificing throughput.
         """
-        b_eq = self._conservation()[1]
-        b_ub = self._capacity()[1]
+        a_eq, b_eq = self._conservation()
+        a_ub, b_ub = self._capacity()
         c = penalty_weight * self._penalty_vector()
         # tiny per-unit-flow cost keeps solutions off pointless cycles
         c[: self.n_flow_vars] += 1e-9
         c[self.n_flow_vars :] = -1.0  # linprog minimises; t vars fill the tail
-        result = self._run(
-            c,
-            self._capacity_matrix(),
-            b_ub,
-            self._conservation_matrix(),
-            b_eq,
-            self._bounds(),
-        )
+        result = self._run(c, a_ub, b_ub, a_eq, b_eq, self._bounds())
         solution = self._extract(result.x)
         return LpOutcome(
             solution=solution,
@@ -364,22 +341,18 @@ class MultiCommodityLp:
         phase1 = self.max_throughput()
         t_star = phase1.objective_value
 
-        b_eq = self._conservation()[1]
-        b_ub = self._capacity()[1]
+        a_eq, b_eq = self._conservation()
+        a_ub, b_ub = self._capacity()
         # extra row: -sum_k t_k <= -(T* - eps)
         extra = np.zeros((1, self.n_vars))
         extra[0, self.n_flow_vars :] = -1.0
         slack = max(1e-7 * max(t_star, 1.0), 1e-9)
-        a_ub_full = sparse.vstack(
-            [self._capacity_matrix(), sparse.csr_matrix(extra)], format="csr"
-        )
+        a_ub_full = sparse.vstack([a_ub, sparse.csr_matrix(extra)], format="csr")
         b_ub_full = np.concatenate([b_ub, [-(t_star - slack)]])
         c = self._penalty_vector()
         # tiny tie-break keeps flow off zero-penalty cycles
         c[: self.n_flow_vars] += 1e-9
-        result = self._run(
-            c, a_ub_full, b_ub_full, self._conservation_matrix(), b_eq, self._bounds()
-        )
+        result = self._run(c, a_ub_full, b_ub_full, a_eq, b_eq, self._bounds())
         solution = self._extract(result.x)
         return LpOutcome(
             solution=solution,
@@ -399,7 +372,9 @@ class MultiCommodityLp:
         oversubscribed proportionally.
         """
         mu = self.n_vars  # the MLU is one extra, last variable
-        n_rows = self._conservation()[1].shape[0]
+        conservation, _ = self._conservation()
+        capacity, cap_b = self._capacity()
+        n_rows = conservation.shape[0]
         # pin every commodity at full demand: t_k = d_k
         pin = sparse.csr_matrix(
             (
@@ -409,13 +384,12 @@ class MultiCommodityLp:
             shape=(self.n_demands, mu + 1),
         )
         a_eq = sparse.vstack(
-            [_with_column(self._conservation_matrix(), np.zeros(n_rows)), pin],
+            [_with_column(conservation, np.zeros(n_rows)), pin],
             format="csr",
         )
         b_eq = np.concatenate([np.zeros(n_rows), self._volumes()])
         # capacity rows become: sum_s x_se - cap_e * mu <= 0
-        cap_b = self._capacity()[1]
-        a_ub = _with_column(self._capacity_matrix(), -cap_b)
+        a_ub = _with_column(capacity, -cap_b)
         b_ub = np.zeros(self.n_links)
 
         # mu free upward: report oversubscription
@@ -442,7 +416,9 @@ class MultiCommodityLp:
         # replace the per-commodity t_k with t_k = lambda * d_k by adding
         # equality rows t_k - d_k * lambda = 0 and one extra variable.
         lam = self.n_vars  # lambda is the last variable
-        n_rows = self._conservation()[1].shape[0]
+        conservation, _ = self._conservation()
+        capacity, b_ub = self._capacity()
+        n_rows = conservation.shape[0]
         k = np.arange(self.n_demands)
         tie = sparse.csr_matrix(
             (
@@ -457,12 +433,11 @@ class MultiCommodityLp:
             shape=(self.n_demands, lam + 1),
         )
         a_eq = sparse.vstack(
-            [_with_column(self._conservation_matrix(), np.zeros(n_rows)), tie],
+            [_with_column(conservation, np.zeros(n_rows)), tie],
             format="csr",
         )
         b_eq = np.zeros(a_eq.shape[0])
-        a_ub = _with_column(self._capacity_matrix(), np.zeros(self.n_links))
-        b_ub = self._capacity()[1]
+        a_ub = _with_column(capacity, np.zeros(self.n_links))
 
         bounds = np.vstack(
             [
