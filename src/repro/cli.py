@@ -28,14 +28,13 @@ canonical rendering — exactly what a sweep artifact would replay:
     repro sweep resume quick-1a2b3c4d            # finish a killed run
     repro sweep compare RUN [RUN_B]              # vs paper, or run vs run
 
-Global flags (``--workers``, ``--no-cache``, ``--no-te-cache``,
-``--bench-json``, ``--trace``, ``--journal``) are accepted both before
-and after the subcommand.  ``--workers N`` spreads work over N processes (also the
+Global flags (``--workers``, ``--no-cache``, ``--bench-json``,
+``--trace``, ``--journal``) are accepted both before and after the
+subcommand.  ``--workers N`` spreads work over N processes (also the
 ``REPRO_WORKERS`` env var); ``--no-cache`` bypasses the on-disk summary
-cache (``REPRO_CACHE_DIR``); ``--no-te-cache`` disables the in-memory
-incremental TE solve cache (:mod:`repro.te.incremental`; also the
-``REPRO_TE_NO_CACHE`` env var — results are byte-identical either way);
-``--bench-json PATH`` writes the run's ``BENCH.json`` timing report
+cache (``REPRO_CACHE_DIR``).  TE solves always go through the in-memory
+incremental cache (:mod:`repro.te.incremental`), whose results are
+bit-identical to a fresh solve; ``--bench-json PATH`` writes the run's ``BENCH.json`` timing report
 (:func:`repro.obs.export.bench_report`: the run's timers and counters
 from :mod:`repro.obs.metrics`) to PATH; ``--journal DIR`` journals controller
 state durably under DIR (:mod:`repro.recovery`) so a crashed run
@@ -75,7 +74,6 @@ def _context(args: argparse.Namespace) -> "Any":
     return ExecutionContext(
         workers=args.workers,
         cache=not args.no_cache,
-        te_cache=False if args.no_te_cache else None,
         journal_dir=args.journal or None,
     )
 
@@ -429,13 +427,6 @@ def _global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
         help="bypass the on-disk summary cache (see REPRO_CACHE_DIR)",
     )
     parser.add_argument(
-        "--no-te-cache", action="store_true", default=default(False),
-        help=(
-            "disable the incremental TE solve cache "
-            "(repro.te.incremental; also REPRO_TE_NO_CACHE)"
-        ),
-    )
-    parser.add_argument(
         "--bench-json", type=str, metavar="PATH", default=default(""),
         help=(
             "write the run's BENCH.json timing report "
@@ -679,29 +670,10 @@ def _trace_dir(args: argparse.Namespace) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if not args.no_te_cache:
-        return _run(args)
-    # cover code paths that consult the environment rather than an
-    # ExecutionContext (default-constructed controllers, pool workers),
-    # for this run only
-    from repro.te.incremental import NO_TE_CACHE_ENV
-
-    previous = os.environ.get(NO_TE_CACHE_ENV)
-    os.environ[NO_TE_CACHE_ENV] = "1"
-    try:
-        return _run(args)
-    finally:
-        if previous is None:
-            del os.environ[NO_TE_CACHE_ENV]
-        else:
-            os.environ[NO_TE_CACHE_ENV] = previous
-
-
-def _run(args: argparse.Namespace) -> int:
-    """Run the handler; trace and bench reports cover this run only."""
+    """Run one command; trace and bench reports cover this run only."""
     from repro import obs
 
+    args = build_parser().parse_args(argv)
     trace_dir = _trace_dir(args)
     with obs.metrics.isolated() as registry:
         if trace_dir:

@@ -61,7 +61,7 @@ from repro.recovery.journal import ControllerCrash, StateJournal, journal_exists
 from repro.recovery.reports import report_payload, restore_solution
 from repro.seeds import component_rng
 from repro.state import NetworkState, StateStore
-from repro.te.incremental import CachedTeAlgorithm, te_cache_enabled
+from repro.te.incremental import CachedTeAlgorithm
 from repro.te.lp import MultiCommodityLp
 from repro.te.solution import TeSolution, TeSolverError, empty_solution
 
@@ -238,7 +238,7 @@ class DynamicCapacityController:
         *,
         policy: AdaptationPolicy | None = None,
         penalty_policy: PenaltyPolicy | None = None,
-        te_algorithm: TeAlgorithm = default_te_algorithm,
+        te_algorithm: TeAlgorithm | None = None,
         table: ModulationTable = DEFAULT_MODULATIONS,
         procedure: ChangeProcedure = ChangeProcedure.EFFICIENT,
         drain_before_change: bool = False,
@@ -249,7 +249,6 @@ class DynamicCapacityController:
         stale_hold_rounds: int = 3,
         stale_fallback_gbps: float = 50.0,
         audit: bool = False,
-        te_cache: bool | None = None,
     ):
         """``drain_before_change`` applies Section 4.2's consistent-update
         recipe: before reconfiguring a link's BVT, re-run the TE with
@@ -278,15 +277,13 @@ class DynamicCapacityController:
         ``audit`` forces the per-round BER-feasibility audit even with
         no fault injector bound.
 
-        ``te_cache`` governs the incremental TE accelerator
-        (:mod:`repro.te.incremental`): when on — the default, unless
-        ``REPRO_TE_NO_CACHE``/``REPRO_NO_CACHE`` is set — and the
-        controller runs the *default* TE objective, per-round solves go
-        through a private :class:`~repro.te.incremental.TeSolveCache`
+        ``te_algorithm`` defaults to the Theorem-1 objective solved
+        through a private :class:`~repro.te.incremental.CachedTeAlgorithm`
         (structure reuse + exact memoization, bit-identical to fresh
-        solves).  A custom ``te_algorithm`` is never wrapped: its
-        purity is unknown.  Each controller owns its cache, so paired
-        chaos runs and side-by-side policy comparisons stay isolated.
+        solves).  Each controller owns that cache, so paired chaos runs
+        and side-by-side policy comparisons stay isolated.  A callable
+        passed in — :func:`default_te_algorithm` included — runs as
+        given: its purity is unknown, so it is never wrapped.
         """
         self.physical = topology
         self.policy = policy if policy is not None else walk_policy(table=table)
@@ -295,9 +292,9 @@ class DynamicCapacityController:
             if penalty_policy is not None
             else TrafficDisruptionPenalty()
         )
-        self._te_base = te_algorithm
-        self.te_algorithm = te_algorithm
-        self.configure_te_cache(te_cache_enabled(te_cache))
+        self.te_algorithm: TeAlgorithm = (
+            te_algorithm if te_algorithm is not None else CachedTeAlgorithm()
+        )
         self.table = table
         self.procedure = procedure
         self.drain_before_change = drain_before_change
@@ -349,30 +346,6 @@ class DynamicCapacityController:
         """Publish one batch of per-link changes as a state transition."""
         if updates:
             self.state_store.commit(self.state.evolve(updates, label=label))
-
-    # -- TE solve cache -------------------------------------------------------
-
-    def configure_te_cache(self, enabled: bool | None) -> None:
-        """Switch the incremental TE solve cache on or off.
-
-        ``None`` leaves the current wiring untouched (scenario helpers
-        pass their own ``te_cache`` knob straight through).  Only the
-        default objective is ever wrapped: a custom ``te_algorithm``
-        runs unwrapped either way, and an explicitly injected
-        :class:`~repro.te.incremental.CachedTeAlgorithm` is the
-        caller's to manage.  Enabling twice keeps the existing cache
-        (and its warmed structures); disabling restores the exact
-        callable the controller was constructed with.
-        """
-        if enabled is None:
-            return
-        if enabled:
-            if self._te_base is default_te_algorithm and not isinstance(
-                self.te_algorithm, CachedTeAlgorithm
-            ):
-                self.te_algorithm = CachedTeAlgorithm()
-        else:
-            self.te_algorithm = self._te_base
 
     # -- fault injection ------------------------------------------------------
 

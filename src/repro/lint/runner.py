@@ -10,8 +10,8 @@ contract the telemetry summary cache follows.  Graph rules (L001-L003)
 always run fresh — they are whole-package properties, cheap next
 to parsing.
 
-``REPRO_NO_CACHE=1`` (or ``cache=False``) bypasses the cache, as
-everywhere else in the repository.
+``REPRO_NO_CACHE=1`` (also ``true``/``yes``; or ``cache=False``)
+bypasses the cache, as everywhere else in the repository.
 """
 
 from __future__ import annotations
@@ -105,7 +105,9 @@ def _package_roots(files: list[Path]) -> list[Path]:
 
 
 def _cache_dir() -> Path | None:
-    if os.environ.get("REPRO_NO_CACHE"):
+    # the repository-wide rule (repro.telemetry.cache.cache_enabled):
+    # only 1/true/yes switch the cache off, so REPRO_NO_CACHE=0 keeps it
+    if os.environ.get("REPRO_NO_CACHE", "").lower() in ("1", "true", "yes"):
         return None
     base = os.environ.get("REPRO_CACHE_DIR")
     root = Path(base) if base else Path.home() / ".cache" / "repro"

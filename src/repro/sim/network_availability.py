@@ -99,7 +99,6 @@ def cable_event_impacts(
     cables: Sequence[str] | None = None,
     faults: FaultPlan | FaultInjector | None = None,
     workers: int | None = None,
-    te_cache: bool | None = None,
 ) -> NetworkAvailabilityReport:
     """Solve the fail-vs-flap scenario matrix for each cable.
 
@@ -125,8 +124,6 @@ def cable_event_impacts(
             applies on fault-free runs: an armed injector draws its
             ``te_fails`` stream sequentially per scenario, so those
             runs keep the lazy per-event order.
-        te_cache: override the incremental TE cache (``None`` defers to
-            the environment).  Values are identical either way.
     """
     missing = srlgs.validate_against(topology)
     if missing:
@@ -158,11 +155,7 @@ def cable_event_impacts(
             fork(cable, binary) for cable, binary in keys
         ]
         values = batch_throughput(
-            scenarios,
-            demands,
-            te_algorithm=algo,
-            workers=workers,
-            te_cache=te_cache,
+            scenarios, demands, te_algorithm=algo, workers=workers
         )
         baseline = values[0]
         scenario_values = dict(zip(keys, values[1:]))

@@ -203,7 +203,6 @@ def reactive_replay(
     pessimism_db: float = 4.0,
     detector_k_sigma: float = 5.0,
     faults: FaultPlan | FaultInjector | None = None,
-    te_cache: bool | None = None,
     journal_dir: "str | None" = None,
     resume: bool | str = False,
     invariants: str | None = None,
@@ -227,11 +226,6 @@ def reactive_replay(
             which the dip detectors skip and the controller's stale
             handling absorbs) and the controller's BVT/TE hooks are
             armed.  ``None`` is a byte-identical no-op.
-        te_cache: override the controller's incremental TE cache for
-            this run (see
-            :meth:`~repro.core.controller.DynamicCapacityController.configure_te_cache`);
-            ``None`` leaves the controller as constructed.  Results are
-            byte-identical either way.
         journal_dir: journal every state transition and round to this
             directory; ``None`` (the default) changes nothing.
         resume: with ``journal_dir``, continue a crashed run: the
@@ -258,8 +252,6 @@ def reactive_replay(
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r} (expected one of {_MODES})")
     injector = as_injector(faults)
-    if te_cache is not None:
-        controller.configure_te_cache(te_cache)
     feed = TelemetryFeed(traces_by_link)
     if injector is not None:
         feed = injector.wrap_feed(feed)

@@ -69,7 +69,6 @@ def replay_controller(
     te_interval_s: float = 4 * 3600.0,
     max_rounds: int | None = None,
     faults: FaultPlan | FaultInjector | None = None,
-    te_cache: bool | None = None,
     journal_dir: "str | None" = None,
     resume: bool | str = False,
     invariants: str | None = None,
@@ -91,11 +90,6 @@ def replay_controller(
             controller's BVT/TE fault hooks are bound.  ``None`` (the
             default) changes nothing — the run is bit-identical to one
             without this parameter.
-        te_cache: override the controller's incremental TE cache for
-            this run (see
-            :meth:`~repro.core.controller.DynamicCapacityController.configure_te_cache`);
-            ``None`` leaves the controller as constructed.  Results are
-            byte-identical either way.
         journal_dir: journal every state transition and round to this
             directory (see
             :meth:`~repro.core.controller.DynamicCapacityController.bind_journal`).
@@ -120,8 +114,6 @@ def replay_controller(
             ``abort``-policy monitor stopped the run.
     """
     injector = as_injector(faults)
-    if te_cache is not None:
-        controller.configure_te_cache(te_cache)
     feed = TelemetryFeed(traces_by_link)
     if injector is not None:
         feed = injector.wrap_feed(feed)

@@ -91,7 +91,6 @@ def replay_tickets(
     *,
     fallback_capacity_gbps: float = 50.0,
     workers: int | None = None,
-    te_cache: bool | None = None,
 ) -> WhatIfReport:
     """Judge every ticket's outage under binary vs. dynamic operation.
 
@@ -100,9 +99,8 @@ def replay_tickets(
     category flaps to ``fallback_capacity_gbps`` in the dynamic world.
 
     ``workers`` spreads the independent scenario solves over the shared
-    pool (``None`` defers to ``REPRO_WORKERS``); ``te_cache`` overrides
-    the incremental TE cache (``None`` defers to the environment).  The
-    report is byte-identical for every combination of both knobs.
+    pool (``None`` defers to ``REPRO_WORKERS``); the report is
+    byte-identical for every worker count.
     """
     if not tickets:
         raise ValueError("no tickets to replay")
@@ -142,9 +140,7 @@ def replay_tickets(
         )
         for cable, binary in needed
     ]
-    values = batch_throughput(
-        scenarios, demands, workers=workers, te_cache=te_cache
-    )
+    values = batch_throughput(scenarios, demands, workers=workers)
     baseline = values[0]
     scenario_cache = dict(zip(needed, values[1:]))
 

@@ -26,7 +26,6 @@ from repro.te.incremental import (
     CachedTeAlgorithm,
     TeSolveCache,
     batch_throughput,
-    te_cache_enabled,
 )
 from repro.te.pathlp import PathBasedLp, PathLpOutcome
 from repro.te.maxflow import max_flow, min_cost_max_flow, SingleCommodityResult
@@ -51,7 +50,6 @@ __all__ = [
     "CachedTeAlgorithm",
     "TeSolveCache",
     "batch_throughput",
-    "te_cache_enabled",
     "PathBasedLp",
     "PathLpOutcome",
     "max_flow",

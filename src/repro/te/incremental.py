@@ -14,11 +14,11 @@ LP it has already seen.  This module exploits that in three layers:
    O(n_demands x n_links) constraint blocks.
 2. **Exact solution memoization** — when the full numeric state
    (capacities, penalties, demands, objective) matches a recent round,
-   the stored solver vector is replayed through the LP's own
-   extraction, skipping the solve entirely.  The solver is
+   the stored per-demand flow assignments are rebound to the round's
+   topology, skipping the solve entirely.  The solver is
    deterministic, so identical inputs produce identical outputs and a
    memo hit is *bit-identical* to a fresh solve — the golden
-   equivalence suite runs with the cache on.  A bounded LRU (not just
+   equivalence suite runs through this path.  A bounded LRU (not just
    the previous round) catches run/walk/crawl-style oscillation
    between a few recurring states.
 3. **Batched what-if** — independent scenario solves (ticket replays,
@@ -32,19 +32,18 @@ Invalidation needs no explicit hooks: any link appearing, disappearing
 structure key; any capacity/penalty/demand change changes the memo
 key.  Both fall out of keying on values instead of mutating state.
 
-``REPRO_TE_NO_CACHE=1`` (or the blanket ``REPRO_NO_CACHE=1``) disables
-every layer; the CLI's ``--no-te-cache`` flag sets it for a run.
+This is the only TE solve path; there is no switch that turns it off.
+Each solve stream owns its cache: a controller its
+:class:`CachedTeAlgorithm`, a :func:`batch_throughput` call (or its pool
+workers) a fresh :class:`TeSolveCache`.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Callable, Hashable, Sequence
-
-import numpy as np
 
 from repro.net.demands import Demand
 from repro.net.topology import Topology
@@ -53,13 +52,6 @@ from repro.parallel import pool_map, resolve_workers
 from repro.state import NetworkState, capacity_digest, demand_digest, structure_digest
 from repro.te.lp import LpOutcome, MultiCommodityLp
 from repro.te.solution import TeSolution
-
-#: disable only the TE solve cache
-NO_TE_CACHE_ENV = "REPRO_TE_NO_CACHE"
-#: the blanket cache kill-switch (shared with the telemetry summary cache)
-NO_CACHE_ENV = "REPRO_NO_CACHE"
-
-_TRUTHY = ("1", "true", "yes")
 
 #: objectives the memo layer may replay (all deterministic HiGHS solves)
 SOLVE_METHODS = (
@@ -74,20 +66,6 @@ SOLVE_METHODS = (
 DEFAULT_MEMO_SIZE = 16
 #: assembled LP structures kept per cache (per distinct link/demand set)
 DEFAULT_STRUCTURE_SIZE = 8
-
-
-def te_cache_enabled(override: bool | None = None) -> bool:
-    """Should TE solves go through the cache?
-
-    An explicit ``override`` wins; otherwise the cache is on unless
-    ``REPRO_TE_NO_CACHE`` or ``REPRO_NO_CACHE`` is truthy.
-    """
-    if override is not None:
-        return override
-    for env in (NO_TE_CACHE_ENV, NO_CACHE_ENV):
-        if os.environ.get(env, "").lower() in _TRUTHY:
-            return False
-    return True
 
 
 def structure_key(
@@ -120,22 +98,13 @@ def numeric_key(
     return capacity_digest(topology) if state is None else state.capacity_digest
 
 
-@dataclass(frozen=True)
-class _MemoEntry:
-    """A solved state: the raw solver vector plus outcome metadata."""
-
-    x: np.ndarray
-    objective_value: float
-    status: str
-    concurrency: float | None
-
-
 class TeSolveCache:
     """Bounded structure + exact-solution caches for one solve stream.
 
-    One instance per controller (or pool worker): the caches are not
-    thread-safe and sharing one across concurrent scenario streams
-    would interleave their LRU orders non-deterministically.
+    One instance per controller, pool worker or serial
+    :func:`batch_throughput` call: the caches are not thread-safe, and
+    sharing one across concurrent scenario streams would interleave
+    their LRU orders non-deterministically.
 
     Determinism argument, in full: a structure hit rebinds the cached
     ``MultiCommodityLp`` to the round's topology — the constraint
@@ -143,25 +112,18 @@ class TeSolveCache:
     (same index arithmetic over the same wiring; the capacity RHS is
     rewritten in place, the penalty vector lazily rebuilt) — so HiGHS
     sees the same matrices and returns the same vector.  A memo hit
-    replays a stored solver vector through ``_extract`` against the
-    rebound topology, which is exactly what the original solve did
-    with the same numbers.  Either way the result is bit-identical to
-    an uncached solve; the golden suite and the ``te-cache`` CI job
-    enforce it byte-for-byte.
+    rebinds the flow assignments that solve extracted to the caller's
+    topology object: the same numbers, so the same flows.  Either way
+    the result is bit-identical to an uncached solve; tier-1 regenerates
+    all five goldens through this cache and through a fresh-assembly
+    reference and compares both byte-for-byte with the committed
+    captures.
     """
 
-    def __init__(
-        self,
-        *,
-        memo_size: int = DEFAULT_MEMO_SIZE,
-        structure_size: int = DEFAULT_STRUCTURE_SIZE,
-    ):
-        if memo_size < 0 or structure_size < 1:
-            raise ValueError("memo_size must be >= 0 and structure_size >= 1")
-        self.memo_size = memo_size
-        self.structure_size = structure_size
+    def __init__(self) -> None:
         self._structures: OrderedDict[Hashable, MultiCommodityLp] = OrderedDict()
-        self._memo: OrderedDict[Hashable, _MemoEntry] = OrderedDict()
+        #: solved outcomes; a hit rebinds their extracted flows
+        self._memo: OrderedDict[Hashable, LpOutcome] = OrderedDict()
 
     # -- structure layer ---------------------------------------------------
 
@@ -185,7 +147,7 @@ class TeSolveCache:
             _metrics.counter("te.cache.structure_miss").inc()
             lp = MultiCommodityLp(topology, demands)
             self._structures[skey] = lp
-            while len(self._structures) > self.structure_size:
+            while len(self._structures) > DEFAULT_STRUCTURE_SIZE:
                 self._structures.popitem(last=False)
         else:
             _metrics.counter("te.cache.structure_hit").inc()
@@ -222,33 +184,19 @@ class TeSolveCache:
         if entry is not None:
             _metrics.counter("te.cache.memo_hit").inc()
             self._memo.move_to_end(mkey)
-            lp = self._lp_for(skey, topology, demands)
+            # a fresh TeSolution on the caller's topology object:
+            # translation checks the solution belongs to its topology
             with _metrics.timer("te.cache.replay"):
-                solution = lp._extract(entry.x)
-            return LpOutcome(
-                solution=solution,
-                objective_value=entry.objective_value,
-                status=entry.status,
-                concurrency=entry.concurrency,
-                x=entry.x,
-            )
+                solution = TeSolution(topology, entry.solution.assignments)
+            return replace(entry, solution=solution)
         _metrics.counter("te.cache.memo_miss").inc()
         lp = self._lp_for(skey, topology, demands)
         outcome: LpOutcome = getattr(lp, method)()
-        if self.memo_size and outcome.x is not None:
-            self._memo[mkey] = _MemoEntry(
-                x=outcome.x,
-                objective_value=outcome.objective_value,
-                status=outcome.status,
-                concurrency=outcome.concurrency,
-            )
-            while len(self._memo) > self.memo_size:
+        if outcome.x is not None:
+            self._memo[mkey] = outcome
+            while len(self._memo) > DEFAULT_MEMO_SIZE:
                 self._memo.popitem(last=False)
         return outcome
-
-    def clear(self) -> None:
-        self._structures.clear()
-        self._memo.clear()
 
     @property
     def n_structures(self) -> int:
@@ -302,12 +250,13 @@ _worker_state = threading.local()
 
 
 def worker_cache() -> TeSolveCache:
-    """The calling worker's private :class:`TeSolveCache`.
+    """The calling pool worker's private :class:`TeSolveCache`.
 
     Thread-local so both pool flavours are safe: a process-pool worker
     gets one cache per process, the thread-pool fallback one per
-    thread.  Scenario solves are pure functions of their inputs, so
-    which worker solves which scenario cannot change any value.
+    thread.  Pools live for one :func:`batch_throughput` call, and so do
+    their caches.  Scenario solves are pure functions of their inputs,
+    so which worker solves which scenario cannot change any value.
     """
     cache = getattr(_worker_state, "te_cache", None)
     if cache is None:
@@ -320,11 +269,15 @@ def _throughput_job(
         Topology | NetworkState,
         tuple[Demand, ...],
         Callable[[Topology, Sequence[Demand]], TeSolution] | None,
-        bool,
     ],
+    cache: TeSolveCache | None = None,
 ) -> float:
-    """One scenario's total throughput (module-level: picklable)."""
-    scenario, demands, te_algorithm, use_cache = job
+    """One scenario's total throughput (module-level: picklable).
+
+    ``cache`` is the serial caller's per-call cache; pool workers leave
+    it ``None`` and use their own :func:`worker_cache`.
+    """
+    scenario, demands, te_algorithm = job
     if isinstance(scenario, NetworkState):
         # materialize in the worker; the state's cached digests key the
         # worker-local cache without re-walking the topology
@@ -334,12 +287,11 @@ def _throughput_job(
         state, topology = None, scenario
     if te_algorithm is not None:
         return te_algorithm(topology, demands).total_allocated_gbps
-    if use_cache:
-        outcome = worker_cache().solve(
-            topology, demands, method="max_throughput", state=state
-        )
-    else:
-        outcome = MultiCommodityLp(topology, demands).max_throughput()
+    if cache is None:
+        cache = worker_cache()
+    outcome = cache.solve(
+        topology, demands, method="max_throughput", state=state
+    )
     return outcome.objective_value
 
 
@@ -350,7 +302,6 @@ def batch_throughput(
     te_algorithm: Callable[[Topology, Sequence[Demand]], TeSolution]
     | None = None,
     workers: int | None = None,
-    te_cache: bool | None = None,
 ) -> list[float]:
     """Total throughput of independent scenarios, in input order.
 
@@ -359,21 +310,21 @@ def batch_throughput(
     :meth:`~repro.state.NetworkState.to_topology`, which preserves
     link order — the results are identical either way).  The default
     (``te_algorithm=None``) solves the max-throughput LP through
-    per-worker structure caches — degrade-style scenarios that share
-    wiring with an earlier scenario skip reassembly.  A custom
-    ``te_algorithm`` is called as-is (it must be picklable to benefit
-    from a process pool).  Results are returned in input order and are
-    identical for any worker count, including serial.
+    structure caches that live for this call only (one per pool
+    worker, or one for a serial run) — degrade-style scenarios that
+    share wiring with an earlier scenario skip reassembly, and a later
+    call starts cold, so its ``te.cache.*`` counters describe it alone.
+    A custom ``te_algorithm`` is called as-is (it must be picklable to
+    benefit from a process pool).  Results are returned in input order
+    and are identical for any worker count, including serial.
     """
-    use_cache = te_cache_enabled(te_cache)
     demands = tuple(demands)
-    jobs = [
-        (scenario, demands, te_algorithm, use_cache) for scenario in scenarios
-    ]
+    jobs = [(scenario, demands, te_algorithm) for scenario in scenarios]
     n_workers = resolve_workers(workers)
     with _metrics.timer(
         "te.batch.throughput", n_scenarios=len(jobs), workers=n_workers
     ):
         if n_workers > 1 and len(jobs) > 1:
             return list(pool_map(_throughput_job, jobs, n_workers))
-        return [_throughput_job(job) for job in jobs]
+        cache = TeSolveCache()
+        return [_throughput_job(job, cache) for job in jobs]

@@ -76,9 +76,9 @@ class LpOutcome:
     status: str
     #: for max_concurrent_flow: the common satisfaction fraction
     concurrency: float | None = None
-    #: the raw solver vector (excluded from equality: replaying it
-    #: through :meth:`MultiCommodityLp._extract` is how the incremental
-    #: layer memoizes exact solutions without re-solving)
+    #: the raw solver vector (excluded from equality; the incremental
+    #: layer memoizes the extracted ``solution.assignments`` instead,
+    #: so a memo hit re-runs neither the solve nor the extraction)
     x: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 

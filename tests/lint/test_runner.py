@@ -47,6 +47,16 @@ class TestLintPaths:
         assert cold.to_payload() == warm.to_payload() == uncached.to_payload()
         assert list((tmp_path / "cache").rglob("*.json"))
 
+    def test_no_cache_env_zero_keeps_the_cache(self, tmp_path, monkeypatch):
+        # the telemetry cache's rule: only 1/true/yes switch caching off
+        tree = make_tree(tmp_path, DIRTY)
+        for value, cached in (("0", True), ("yes", False)):
+            cache = tmp_path / f"cache-{value}"
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+            monkeypatch.setenv("REPRO_NO_CACHE", value)
+            lint_paths([tree / "src"], base=tree)
+            assert bool(list(cache.rglob("*.json"))) is cached
+
     def test_cache_invalidated_by_edit(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)

@@ -1,4 +1,4 @@
-"""The incremental TE layer: reuse, memoization, invalidation, gating.
+"""The incremental TE layer: reuse, memoization, invalidation, wiring.
 
 The contract under test is strict: every cached answer must be
 *bit-identical* to a fresh ``MultiCommodityLp`` solve, and every input
@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.controller import DynamicCapacityController, default_te_algorithm
 from repro.core.policies import run_policy
+from repro.experiments import ScenarioSpec, run_spec
 from repro.faults.spec import FaultPlan, FaultSpec
 from repro.net.demands import Demand, gravity_demands
 from repro.net.srlg import duplex_srlgs, fail_cable
@@ -20,14 +21,8 @@ from repro.net.topologies import abilene, figure7_topology, line_topology
 from repro.obs import metrics
 from repro.optics.impairments import AmplifierDegradation
 from repro.sim.replay import replay_controller
-from repro.te.incremental import (
-    NO_CACHE_ENV,
-    NO_TE_CACHE_ENV,
-    CachedTeAlgorithm,
-    TeSolveCache,
-    batch_throughput,
-    te_cache_enabled,
-)
+from repro.te import incremental
+from repro.te.incremental import CachedTeAlgorithm, TeSolveCache, batch_throughput
 from repro.te.lp import MultiCommodityLp
 from repro.telemetry.timebase import Timebase
 from repro.telemetry.traces import NoiseModel, synthesize_cable_traces
@@ -70,6 +65,22 @@ class TestMemoization:
         fresh = MultiCommodityLp(topo, demands).min_penalty_at_max_throughput()
         _assert_identical(first, fresh)
         _assert_identical(second, fresh)
+
+    def test_hit_binds_the_callers_topology(self):
+        # a value-equal but distinct topology object (the next round's
+        # copy): the hit must hand back a solution on *that* object, as
+        # translation checks ``solution.topology is augmented.topology``
+        topo, demands = _wan(), _demands(_wan())
+        again = topo.copy()
+        cache = TeSolveCache()
+        with metrics.isolated() as reg:
+            cache.solve(topo, demands)
+            hit = cache.solve(again, demands)
+        assert reg.counter_value("te.cache.memo_hit") == 1
+        assert hit.solution.topology is again
+        _assert_identical(
+            hit, MultiCommodityLp(again, demands).min_penalty_at_max_throughput()
+        )
 
     def test_methods_memoized_independently(self):
         topo, demands = _wan(), _demands(_wan())
@@ -127,8 +138,10 @@ class TestStructureReuse:
             cache.solve(topo, _demands(topo, seed=1))
             assert reg.counter_value("te.cache.structure_miss") == 2
 
-    def test_lru_eviction_keeps_answers_exact(self):
-        small = TeSolveCache(memo_size=1, structure_size=1)
+    def test_lru_eviction_keeps_answers_exact(self, monkeypatch):
+        monkeypatch.setattr(incremental, "DEFAULT_MEMO_SIZE", 1)
+        monkeypatch.setattr(incremental, "DEFAULT_STRUCTURE_SIZE", 1)
+        small = TeSolveCache()
         t_a, t_b = line_topology(3), line_topology(4)
         d_a, d_b = _demands(t_a, 300.0), _demands(t_b, 300.0)
         for _ in range(3):  # oscillate; every round evicts the other
@@ -145,32 +158,19 @@ class TestStructureReuse:
 
 
 class TestGating:
-    def test_env_vars_disable(self, monkeypatch):
-        monkeypatch.delenv(NO_TE_CACHE_ENV, raising=False)
-        monkeypatch.delenv(NO_CACHE_ENV, raising=False)
-        assert te_cache_enabled() is True
-        monkeypatch.setenv(NO_TE_CACHE_ENV, "1")
-        assert te_cache_enabled() is False
-        assert te_cache_enabled(True) is True  # explicit override wins
-        monkeypatch.delenv(NO_TE_CACHE_ENV)
-        monkeypatch.setenv(NO_CACHE_ENV, "true")
-        assert te_cache_enabled() is False
-        assert te_cache_enabled(False) is False
+    """The controller caches its default TE and nothing it is handed."""
 
-    def test_controller_wrapping_follows_gate(self, monkeypatch):
-        monkeypatch.delenv(NO_TE_CACHE_ENV, raising=False)
-        monkeypatch.delenv(NO_CACHE_ENV, raising=False)
+    def test_controller_wrapping_follows_gate(self):
         topo = line_topology(3)
         assert isinstance(
             DynamicCapacityController(topo).te_algorithm, CachedTeAlgorithm
         )
+        # the uncached reference: injected, it runs as given
         assert (
-            DynamicCapacityController(topo, te_cache=False).te_algorithm
+            DynamicCapacityController(
+                topo, te_algorithm=default_te_algorithm
+            ).te_algorithm
             is default_te_algorithm
-        )
-        monkeypatch.setenv(NO_TE_CACHE_ENV, "1")
-        assert (
-            DynamicCapacityController(topo).te_algorithm is default_te_algorithm
         )
 
     def test_custom_te_algorithm_never_wrapped(self):
@@ -179,21 +179,13 @@ class TestGating:
 
         controller = DynamicCapacityController(line_topology(3), te_algorithm=my_te)
         assert controller.te_algorithm is my_te
-        controller.configure_te_cache(True)
-        assert controller.te_algorithm is my_te
-
-    def test_cli_flag_parses_into_context(self):
-        from repro.cli import _context, build_parser
-
-        args = build_parser().parse_args(["tickets", "--no-te-cache"])
-        assert args.no_te_cache is True
-        assert _context(args).te_cache is False
-        args = build_parser().parse_args(["tickets"])
-        assert _context(args).te_cache is None
 
 
-def _dip_replay(te_cache, *, dip_db, faults=None):
-    """A 3-node replay whose mid-run dip can force a link dark."""
+def _dip_replay(cached, *, dip_db, faults=None):
+    """A 3-node replay whose mid-run dip can force a link dark.
+
+    ``cached=False`` injects the uncached reference TE.
+    """
     topology = line_topology(3)
     link_ids = [l.link_id for l in topology.real_links()]
     timebase = Timebase.from_duration(days=2.0)
@@ -208,7 +200,10 @@ def _dip_replay(te_cache, *, dip_db, faults=None):
     )
     demands = gravity_demands(topology, 500.0, np.random.default_rng(4))
     controller = DynamicCapacityController(
-        topology, policy=run_policy(), seed=0, te_cache=te_cache
+        topology,
+        policy=run_policy(),
+        seed=0,
+        te_algorithm=None if cached else default_te_algorithm,
     )
     return replay_controller(
         controller,
@@ -261,11 +256,14 @@ class TestInvalidationUnderReplay:
     def test_golden_replay_byte_identical_with_cache_disabled(
         self, name, monkeypatch
     ):
-        # the committed goldens were captured pre-cache; the cache-off
-        # path must still reproduce every one of them to the byte (the
-        # default, cache-on path is covered by
-        # tests/engine/test_golden_equivalence)
-        monkeypatch.setenv(NO_TE_CACHE_ENV, "1")
+        # the committed goldens were captured pre-cache; a fresh
+        # assembly and solve per call, with no memo, must still
+        # reproduce every one of them to the byte (the cached path is
+        # covered by tests/engine/test_golden_equivalence)
+        def fresh_solve(self, topology, demands, method, *, state=None):
+            return getattr(MultiCommodityLp(topology, demands), method)()
+
+        monkeypatch.setattr(TeSolveCache, "solve", fresh_solve)
         got = canonical_json(SCENARIOS[name]())
         assert got == (GOLDEN_DIR / f"{name}.json").read_text()
 
@@ -278,8 +276,7 @@ class TestBatchedWhatIf:
         scenarios = [topo] + [
             fail_cable(topo, srlgs, cable) for cable in srlgs.cables()[:3]
         ]
-        serial = batch_throughput(scenarios, demands, workers=1, te_cache=False)
-        assert serial == batch_throughput(scenarios, demands, workers=1)
+        serial = batch_throughput(scenarios, demands, workers=1)
         assert serial == batch_throughput(scenarios, demands, workers=2)
         assert serial == [
             MultiCommodityLp(s, demands).max_throughput().objective_value
@@ -298,3 +295,25 @@ class TestBatchedWhatIf:
         values = batch_throughput([topo, topo], demands, te_algorithm=my_te)
         assert len(calls) == 2
         assert values[0] == values[1]
+
+    def test_each_call_owns_its_cache(self):
+        # two in-process runs must each start cold: a cache that
+        # outlives its call would turn the second run's misses into hits
+        spec = ScenarioSpec.create("twice", "whatif", tickets=12)
+        counters = []
+        for _ in range(2):
+            with metrics.isolated() as reg:
+                run_spec(spec)
+            counters.append(
+                {
+                    name: reg.counter_value(name)
+                    for name in (
+                        "te.cache.memo_hit",
+                        "te.cache.memo_miss",
+                        "te.cache.structure_hit",
+                        "te.cache.structure_miss",
+                    )
+                }
+            )
+        assert counters[0]["te.cache.memo_miss"] > 0
+        assert counters[0] == counters[1]

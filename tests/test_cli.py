@@ -233,24 +233,3 @@ class TestRunScope:
         capsys.readouterr()
         assert reports[0]["events"]["controller.rounds"] > 0
         assert reports[0]["events"] == reports[1]["events"]
-
-    def test_no_te_cache_env_restored(self, monkeypatch, capsys):
-        import os
-
-        from repro.te.incremental import NO_TE_CACHE_ENV, te_cache_enabled
-
-        seen = []
-        monkeypatch.setattr(
-            "repro.cli._cmd_theorem",
-            lambda args: seen.append(os.environ.get(NO_TE_CACHE_ENV)) or 0,
-        )
-        for previous in (None, "0"):
-            if previous is None:
-                monkeypatch.delenv(NO_TE_CACHE_ENV, raising=False)
-            else:
-                monkeypatch.setenv(NO_TE_CACHE_ENV, previous)
-            before = dict(os.environ)
-            assert main(["--no-te-cache", "theorem"]) == 0
-            assert dict(os.environ) == before
-        assert seen == ["1", "1"]  # set for the run itself
-        assert te_cache_enabled()
