@@ -350,8 +350,14 @@ class MultiCommodityLp:
         a_ub_full = sparse.vstack([a_ub, sparse.csr_matrix(extra)], format="csr")
         b_ub_full = np.concatenate([b_ub, [-(t_star - slack)]])
         c = self._penalty_vector()
+        peak = float(c.max())
         # tiny tie-break keeps flow off zero-penalty cycles
         c[: self.n_flow_vars] += 1e-9
+        # HiGHS judges reduced costs against an absolute 1e-7, so costs
+        # that small stop phase 2 at an arbitrary max-throughput point;
+        # scaling them up to a peak cost of 1 keeps the argmin
+        if 0.0 < peak < 1.0:
+            c /= peak + 1e-9
         result = self._run(c, a_ub_full, b_ub_full, a_eq, b_eq, self._bounds())
         solution = self._extract(result.x)
         return LpOutcome(

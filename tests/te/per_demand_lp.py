@@ -125,6 +125,9 @@ class PerDemandLp:
         slack = max(1e-7 * max(t_star, 1.0), 1e-9)
         c = self.penalty.copy()
         c[: self.n_flow_vars] += 1e-9
+        peak = float(self.penalty.max())
+        if 0.0 < peak < 1.0:
+            c /= peak + 1e-9  # as in MultiCommodityLp: lift costs above HiGHS's tolerance
         result = self._solve(
             c,
             sparse.vstack([self.capacity, sparse.csr_matrix(extra)], format="csr"),
