@@ -6,10 +6,9 @@ by great-circle distance, DWDM channels assigned per fiber, SNR
 baselines from each cable's amplifier chain — then:
 
 1. shows the plant inventory and where the SNR headroom physically is;
-2. prices the headroom and availability gains in dollars;
-3. asks the network-level availability question: for each cable, what
+2. asks the network-level availability question: for each cable, what
    does a failure cost under the binary rule vs. a dynamic flap;
-4. replays a month of telemetry through the closed-loop controller.
+3. replays a month of telemetry through the closed-loop controller.
 
 Run:  python examples/fiber_plant_study.py
 """
@@ -24,13 +23,7 @@ from repro.net import (
     site_coordinates,
     us_backbone_like,
 )
-from repro.sim import (
-    availability_report,
-    cable_event_impacts,
-    estimate_savings,
-    replay_controller,
-)
-from repro.telemetry.stats import summarize_trace
+from repro.sim import cable_event_impacts, replay_controller
 
 
 def show_plant(plant: FiberPlant) -> None:
@@ -59,19 +52,6 @@ def show_plant(plant: FiberPlant) -> None:
             header=["cable", "km", "spans", "SNR dB", "channels"],
         )
     )
-
-
-def price_the_headroom(plant: FiberPlant, traces) -> None:
-    trace_list = list(traces.values())
-    summaries = [summarize_trace(t) for t in trace_list]
-    availability = availability_report(trace_list)
-    savings = estimate_savings(
-        summaries, availability, observed_years=30.0 / 365.25
-    )
-    print(f"\nheadroom across the plant: {savings.headroom_gbps:.0f} Gbps")
-    print(f"capex deferral:            ${savings.capex_deferral_usd:,.0f}")
-    print(f"annual lease deferral:     ${savings.annual_lease_deferral_usd:,.0f}")
-    print(f"annual outage avoided:     ${savings.annual_outage_avoided_usd:,.0f}")
 
 
 def cable_failure_matrix(plant: FiberPlant, demands) -> None:
@@ -115,7 +95,6 @@ def main() -> None:
     traces = plant.synthesize_telemetry(days=30.0)
 
     show_plant(plant)
-    price_the_headroom(plant, traces)
     cable_failure_matrix(plant, demands)
     closed_loop_month(plant, traces, demands)
 

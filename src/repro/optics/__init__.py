@@ -9,8 +9,13 @@ measurement study and testbed rely on:
 * ideal and noisy signal constellations (:mod:`~repro.optics.constellation`),
 * a span/amplifier noise budget that produces realistic baseline SNRs
   (:mod:`~repro.optics.fiber`),
-* SNR bookkeeping and feasible-capacity lookups (:mod:`~repro.optics.snr`),
-* parametric impairment events (:mod:`~repro.optics.impairments`).
+* parametric impairment events (:mod:`~repro.optics.impairments`),
+* DWDM channel plans per fiber (:mod:`~repro.optics.spectrum`).
+
+The ladder's thresholds are the paper's printed numbers.  The SD-FEC
+symbol-error theory that derives them is a test-side oracle
+(``tests/optics/ber_oracle.py``), since no experiment needs it at run
+time.
 """
 
 from repro.optics.units import (
@@ -27,7 +32,6 @@ from repro.optics.modulation import (
 )
 from repro.optics.constellation import Constellation, ConstellationSample
 from repro.optics.fiber import FiberSpan, Amplifier, FiberCable, LineSystem
-from repro.optics.snr import SnrBudget, feasible_capacity_gbps, required_snr_db
 from repro.optics.impairments import (
     Impairment,
     AmplifierDegradation,
@@ -36,13 +40,6 @@ from repro.optics.impairments import (
     TransceiverFault,
 )
 from repro.optics.spectrum import Channel, ChannelPlan, SpectrumAssignment
-from repro.optics.ber import (
-    derive_modulation_table,
-    required_snr_for_ser,
-    ser_for_format,
-    ser_mpsk,
-    ser_mqam,
-)
 
 __all__ = [
     "db_to_linear",
@@ -59,9 +56,6 @@ __all__ = [
     "Amplifier",
     "FiberCable",
     "LineSystem",
-    "SnrBudget",
-    "feasible_capacity_gbps",
-    "required_snr_db",
     "Impairment",
     "AmplifierDegradation",
     "FiberCut",
@@ -70,9 +64,4 @@ __all__ = [
     "Channel",
     "ChannelPlan",
     "SpectrumAssignment",
-    "derive_modulation_table",
-    "required_snr_for_ser",
-    "ser_for_format",
-    "ser_mpsk",
-    "ser_mqam",
 ]

@@ -25,7 +25,6 @@ from repro.sim.network_availability import (
     NetworkAvailabilityReport,
     cable_event_impacts,
 )
-from repro.sim.economics import CostModel, SavingsEstimate, estimate_savings
 from repro.sim.whatif import TicketVerdict, WhatIfReport, replay_tickets
 from repro.sim.reactive import ReactiveResult, reactive_replay
 
@@ -33,9 +32,6 @@ __all__ = [
     "CableImpact",
     "NetworkAvailabilityReport",
     "cable_event_impacts",
-    "CostModel",
-    "SavingsEstimate",
-    "estimate_savings",
     "TicketVerdict",
     "WhatIfReport",
     "replay_tickets",

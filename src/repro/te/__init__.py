@@ -35,7 +35,6 @@ from repro.te.decompose import (
     decompose_assignment,
     decompose_solution,
 )
-from repro.te.churn import ChurnReport, cumulative_churn, solution_churn
 from repro.te.swan import swan_allocate
 from repro.te.b4 import b4_allocate
 from repro.te.cspf import cspf_allocate
@@ -59,9 +58,6 @@ __all__ = [
     "PathFlow",
     "decompose_assignment",
     "decompose_solution",
-    "ChurnReport",
-    "cumulative_churn",
-    "solution_churn",
     "swan_allocate",
     "b4_allocate",
     "cspf_allocate",

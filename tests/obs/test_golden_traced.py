@@ -10,7 +10,7 @@ suite (tests/engine/test_golden_equivalence.py) compares against.
 The second half pins the other direction: the sim-time side of the
 trace itself is deterministic, so two traced runs of the same seeded
 scenario produce byte-identical span trees and wall-stripped Chrome
-traces (what the trace-determinism CI job diffs).
+traces (what ``tests/test_golden_toggle.py`` compares across processes).
 """
 
 import json

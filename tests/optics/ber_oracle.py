@@ -1,8 +1,9 @@
-"""Analytic symbol-error theory: where the SNR thresholds come from.
+"""Analytic symbol-error theory, kept as the physics oracle for the ladder.
 
 The paper's capacity ladder rests on thresholds "specific to our
 hardware"; this module supplies the standard theory those numbers come
-from, so the reproduction's ladder is derivable rather than asserted:
+from, so the ladder in :mod:`repro.optics.modulation` is derivable
+rather than asserted:
 
 * closed-form symbol-error rates for M-PSK and square M-QAM over AWGN
   (Proakis-style union-bound expressions, exact for BPSK/QPSK),
@@ -10,10 +11,11 @@ from, so the reproduction's ladder is derivable rather than asserted:
 * a ladder builder: given the hardware's FEC limit and implementation
   margin, emit a :class:`~repro.optics.modulation.ModulationTable`.
 
-The Monte-Carlo constellation sampler
+No experiment derives its ladder at run time, so this lives here,
+outside the package, only for ``test_ber.py``.  The Monte-Carlo
+constellation sampler
 (:meth:`repro.optics.constellation.Constellation.sample`) is the
-independent check: its measured SER must match these formulas, which
-the test suite verifies across formats and SNRs.
+independent check: its measured SER must match these formulas.
 """
 
 from __future__ import annotations

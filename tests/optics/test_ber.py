@@ -1,9 +1,10 @@
-"""Tests for analytic SER theory, cross-checked against Monte Carlo."""
+"""The analytic SER oracle, cross-checked against Monte Carlo and the ladder."""
 
 import numpy as np
 import pytest
 
-from repro.optics.ber import (
+from repro.optics.constellation import Constellation
+from tests.optics.ber_oracle import (
     derive_modulation_table,
     q_function,
     required_snr_for_ser,
@@ -12,7 +13,6 @@ from repro.optics.ber import (
     ser_mqam,
     snr_penalty_for_rate_increase,
 )
-from repro.optics.constellation import Constellation
 
 
 class TestQFunction:
